@@ -349,7 +349,7 @@ fn trace_overhead(c: &mut Criterion) {
 
 fn symtab_compile(c: &mut Criterion) {
     use ldb_cc::driver::{compile_many, program_load_plan};
-    use ldb_core::{CompiledTable, ModuleCache, ModuleTable};
+    use ldb_core::{CompiledTable, ModuleCache, ModuleTable, TableSource};
     use ldb_postscript::compile_module;
 
     let mut g = c.benchmark_group("symtab_compile");
@@ -400,15 +400,18 @@ fn symtab_compile(c: &mut Criterion) {
     };
     // Both connects poll at the daemon's 1 ms so the numbers measure
     // table loading, not the default config's 10 ms first event poll.
-    let tight = || ldb_nub::ClientConfig {
-        event_poll: std::time::Duration::from_millis(1),
-        ..Default::default()
+    let tight = || ldb_core::AttachOpts {
+        client: ldb_nub::ClientConfig {
+            event_poll: std::time::Duration::from_millis(1),
+            ..Default::default()
+        },
+        fault: None,
     };
     g.bench_function("connect_eager_200fn", |b| {
         b.iter(|| {
             let mut ldb = Ldb::new();
             let (wire, handle) = spawn_wire();
-            ldb.attach_plan_with_config(wire, &frame_ps, &tables, Some(handle), tight())
+            ldb.attach(wire, TableSource::Plan { frame: &frame_ps, modules: &tables }, Some(handle), tight())
                 .unwrap()
         })
     });
@@ -416,7 +419,7 @@ fn symtab_compile(c: &mut Criterion) {
         b.iter(|| {
             let mut ldb = Ldb::new();
             let (wire, handle) = spawn_wire();
-            ldb.attach_compiled_with_config(wire, &frame, &compiled, Some(handle), tight())
+            ldb.attach(wire, TableSource::Compiled { frame: &frame, modules: &compiled }, Some(handle), tight())
                 .unwrap()
         })
     });

@@ -15,7 +15,7 @@ fn read_time(loader_ps: &str, reps: u32) -> f64 {
     for _ in 0..reps {
         let mut ldb = ldb_core::Ldb::new();
         let t = Instant::now();
-        let loader = ldb_core::Loader::load(&mut ldb.interp, loader_ps).unwrap();
+        let loader = ldb_core::Loader::load(&mut ldb.interp, loader_ps, ldb_postscript::Budget::LOAD).unwrap();
         total += t.elapsed().as_secs_f64();
         std::hint::black_box(loader.proctable.len());
     }

@@ -68,11 +68,11 @@ fn main() {
     // Phase 3/4: read symbol tables (loader table interpretation only).
     let (t_hello_sym, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb_core::Loader::load(&mut ldb.interp, &hello_loader).unwrap()
+        ldb_core::Loader::load(&mut ldb.interp, &hello_loader, ldb_postscript::Budget::LOAD).unwrap()
     });
     let (t_big_sym, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb_core::Loader::load(&mut ldb.interp, &big_loader).unwrap()
+        ldb_core::Loader::load(&mut ldb.interp, &big_loader, ldb_postscript::Budget::LOAD).unwrap()
     });
 
     // Phase 5/6: connect (spawn under a nub, read tables, first stop,
@@ -107,7 +107,7 @@ fn main() {
     // default; compare against an unlimited budget on the big table.
     let (t_big_sym_unbudgeted, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb_core::Loader::load_budgeted(
+        ldb_core::Loader::load(
             &mut ldb.interp,
             &big_loader,
             ldb_postscript::Budget::UNLIMITED,
@@ -203,7 +203,7 @@ fn main() {
     // shared cache), then the steady-state connect every later tenant
     // gets.
     use ldb_cc::driver::{compile_many, program_load_plan};
-    use ldb_core::{CompiledTable, ModuleCache, ModuleTable};
+    use ldb_core::{CompiledTable, ModuleCache, ModuleTable, TableSource};
     let plan_prog =
         compile_many(&[("synth.c", big_src.as_str())], Arch::Mips, CompileOpts::default())
             .unwrap();
@@ -223,14 +223,17 @@ fn main() {
     };
     // Both connects use the daemon's tight event poll so the comparison
     // measures table loading, not the default 10 ms first-poll latency.
-    let tight = || ldb_nub::ClientConfig {
-        event_poll: std::time::Duration::from_millis(1),
-        ..Default::default()
+    let tight = || ldb_core::AttachOpts {
+        client: ldb_nub::ClientConfig {
+            event_poll: std::time::Duration::from_millis(1),
+            ..Default::default()
+        },
+        fault: None,
     };
     let (t_conn_plan, _) = time(|| {
         let mut ldb = Ldb::new();
         let (wire, handle) = spawn_wire();
-        ldb.attach_plan_with_config(wire, &frame_ps, &tables, Some(handle), tight()).unwrap();
+        ldb.attach(wire, TableSource::Plan { frame: &frame_ps, modules: &tables }, Some(handle), tight()).unwrap();
         ldb
     });
     let cache = ModuleCache::new();
@@ -248,7 +251,7 @@ fn main() {
     let (t_conn_compiled, _) = time(|| {
         let mut ldb = Ldb::new();
         let (wire, handle) = spawn_wire();
-        ldb.attach_compiled_with_config(wire, &frame, &compiled, Some(handle), tight()).unwrap();
+        ldb.attach(wire, TableSource::Compiled { frame: &frame, modules: &compiled }, Some(handle), tight()).unwrap();
         ldb
     });
     println!(

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use ldb_machine::{Arch, MachineData};
-use ldb_nub::{NubClient, NubConfig, NubEvent, NubHandle, Sig, Wire};
+use ldb_nub::{FaultConfig, FaultyWire, NubClient, NubConfig, NubEvent, NubHandle, Sig, Wire};
 use ldb_postscript::{Budget, DictRef, Interp, Location, Object, Out, PsError, PsFile, Value};
 use ldb_trace::{Layer, Severity, Trace};
 
@@ -241,6 +241,9 @@ pub struct Target {
     reg_cache: Vec<(String, u32)>,
     /// The checkpoint ring reverse execution rewinds through.
     pub checkpoints: crate::checkpoint::CheckpointStore,
+    /// The fault injector this target was attached through
+    /// ([`AttachOpts::fault`]); a reconnect's fresh wire gets one too.
+    fault: Option<FaultConfig>,
 }
 
 impl Target {
@@ -290,11 +293,13 @@ impl Default for PsBudgets {
 /// outcome — `Ok(())` reloaded, `Err(reason)` still quarantined.
 pub type ReloadRow = (String, Result<(), String>);
 
-/// Where an attach gets its loader table from.
-enum TableSource<'a> {
-    /// One combined loader-table program (the classic path).
+/// Where an attach gets its symbol tables from.
+pub enum TableSource<'a> {
+    /// One combined loader-table program (the classic path), run whole
+    /// under the load budget.
     Whole(&'a str),
-    /// Trusted frame plus per-module tables, sandboxed individually.
+    /// Trusted frame plus per-module tables, sandboxed individually and
+    /// loaded eagerly (see `Loader::load_plan`).
     Plan {
         /// Linker frame: anchor map and proctable, `/symtab null`.
         frame: &'a str,
@@ -302,13 +307,28 @@ enum TableSource<'a> {
         modules: &'a [ModuleTable],
     },
     /// Trusted frame plus pre-compiled per-module tables; module bodies
-    /// run lazily on first demand (breakpoint, walk, or print).
+    /// run lazily on first demand (breakpoint, walk, or print). Compiled
+    /// tables are immutable and shareable, so N sessions attached to the
+    /// same binary can reuse one [`ldb_postscript::ModuleCache`] entry
+    /// per table (see `Loader::load_plan_compiled`).
     Compiled {
         /// Linker frame, precompiled: anchor map and proctable.
         frame: &'a ldb_postscript::CompiledModule,
         /// Per-module compiled symbol tables.
         modules: &'a [CompiledTable],
     },
+}
+
+/// How [`Ldb::attach`] talks to the nub.
+#[derive(Debug, Default)]
+pub struct AttachOpts {
+    /// The nub client's resilience policy (lossy wires want shorter
+    /// timeouts and bigger retry budgets than the defaults).
+    pub client: ldb_nub::ClientConfig,
+    /// Wrap the wire in a deterministic fault injector that journals into
+    /// the session recorder. [`Ldb::reconnect`] wraps the fresh wire in
+    /// the same injector, so the drill follows the target.
+    pub fault: Option<FaultConfig>,
 }
 
 /// The debugger session.
@@ -351,6 +371,8 @@ pub struct Ldb {
     /// when set, resumes run in `N`-step legs and a checkpoint is taken at
     /// each leg boundary. `None` (the default) leaves the run path alone.
     checkpoint_every: Option<u64>,
+    /// Expressions re-evaluated and shown after every stop (`display`).
+    pub(crate) displays: Vec<String>,
 }
 
 /// Session-wide robustness counters: how often the defensive layers
@@ -477,6 +499,7 @@ impl Ldb {
             cancel: None,
             base_dicts,
             checkpoint_every: None,
+            displays: Vec::new(),
         };
         ldb.register_expr_ops();
         ldb
@@ -628,44 +651,15 @@ impl Ldb {
 
     // ----- targets -----
 
-    /// Attach over a wire: waits for the nub's initial stop notification,
-    /// then loads the loader-table PostScript.
-    ///
-    /// # Errors
-    /// Nub and PostScript failures.
-    pub fn attach(
-        &mut self,
-        wire: Box<dyn Wire>,
-        loader_ps: &str,
-        nub: Option<NubHandle>,
-    ) -> Result<usize, LdbError> {
-        self.attach_with_config(wire, loader_ps, nub, ldb_nub::ClientConfig::default())
-    }
-
-    /// As [`Ldb::attach`], with an explicit resilience policy for the nub
-    /// client (lossy wires want shorter timeouts and bigger retry
-    /// budgets than the defaults).
+    /// Attach from a *load plan*: the trusted loader frame plus one
+    /// symbol table per module, each sandboxed under the load budget, with
+    /// the default nub client policy. Modules that fault, exhaust their
+    /// budget, or fail validation are quarantined (see
+    /// `Loader::load_plan`); the attach succeeds as long as at least one
+    /// module survives.
     ///
     /// # Errors
     /// As [`Ldb::attach`].
-    pub fn attach_with_config(
-        &mut self,
-        wire: Box<dyn Wire>,
-        loader_ps: &str,
-        nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
-    ) -> Result<usize, LdbError> {
-        self.attach_source(wire, TableSource::Whole(loader_ps), nub, cfg)
-    }
-
-    /// Attach from a *load plan*: the trusted loader frame plus one
-    /// symbol table per module, each sandboxed under the load budget.
-    /// Modules that fault, exhaust their budget, or fail validation are
-    /// quarantined (see `Loader::load_plan`); the attach succeeds as long
-    /// as at least one module survives.
-    ///
-    /// # Errors
-    /// As [`Ldb::attach`], or every module quarantined.
     pub fn attach_plan(
         &mut self,
         wire: Box<dyn Wire>,
@@ -673,80 +667,24 @@ impl Ldb {
         modules: &[ModuleTable],
         nub: Option<NubHandle>,
     ) -> Result<usize, LdbError> {
-        self.attach_source(
-            wire,
-            TableSource::Plan { frame: frame_ps, modules },
-            nub,
-            ldb_nub::ClientConfig::default(),
-        )
+        let source = TableSource::Plan { frame: frame_ps, modules };
+        self.attach(wire, source, nub, AttachOpts::default())
     }
 
-    /// As [`Ldb::attach_plan`], with an explicit nub client policy.
+    /// Attach over a wire: waits for the nub's initial stop notification,
+    /// then loads the symbol tables from `source`.
     ///
     /// # Errors
-    /// As [`Ldb::attach_plan`].
-    pub fn attach_plan_with_config(
-        &mut self,
-        wire: Box<dyn Wire>,
-        frame_ps: &str,
-        modules: &[ModuleTable],
-        nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
-    ) -> Result<usize, LdbError> {
-        self.attach_source(wire, TableSource::Plan { frame: frame_ps, modules }, nub, cfg)
-    }
-
-    /// Attach from pre-compiled symbol tables (see
-    /// [`ldb_postscript::compile_module`]): the trusted loader frame runs
-    /// from bytecode eagerly, while module bodies are *deferred* — only
-    /// their headers are checked at attach time, and each body runs
-    /// (sandboxed, under the load budget) the first time a breakpoint,
-    /// stack walk, or print needs that module's entries. Compiled tables
-    /// are immutable and shareable, so N sessions attached to the same
-    /// binary can reuse one [`ldb_postscript::ModuleCache`] entry per
-    /// table (and one for the frame).
-    ///
-    /// # Errors
-    /// As [`Ldb::attach_plan`], or every module quarantined at admission.
-    pub fn attach_compiled_with_config(
-        &mut self,
-        wire: Box<dyn Wire>,
-        frame: &ldb_postscript::CompiledModule,
-        modules: &[CompiledTable],
-        nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
-    ) -> Result<usize, LdbError> {
-        self.attach_source(wire, TableSource::Compiled { frame, modules }, nub, cfg)
-    }
-
-    /// As [`Ldb::attach_compiled_with_config`] with the default nub
-    /// client policy.
-    ///
-    /// # Errors
-    /// As [`Ldb::attach_compiled_with_config`].
-    pub fn attach_compiled(
-        &mut self,
-        wire: Box<dyn Wire>,
-        frame: &ldb_postscript::CompiledModule,
-        modules: &[CompiledTable],
-        nub: Option<NubHandle>,
-    ) -> Result<usize, LdbError> {
-        self.attach_source(
-            wire,
-            TableSource::Compiled { frame, modules },
-            nub,
-            ldb_nub::ClientConfig::default(),
-        )
-    }
-
-    fn attach_source(
+    /// Nub and PostScript failures, or every module quarantined.
+    pub fn attach(
         &mut self,
         wire: Box<dyn Wire>,
         source: TableSource<'_>,
         nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
+        opts: AttachOpts,
     ) -> Result<usize, LdbError> {
-        let mut client = NubClient::with_config(wire, cfg);
+        let wire = self.maybe_faulty(wire, &opts.fault);
+        let mut client = NubClient::with_config(wire, opts.client);
         client.set_trace(self.trace.clone());
         client.set_cancel(self.cancel.clone());
         let ev = client.wait_event()?;
@@ -762,9 +700,7 @@ impl Ldb {
         self.pop_target_dicts();
         self.interp.push_dict(Rc::clone(&unit_dict));
         let loaded = match source {
-            TableSource::Whole(ps) => {
-                Loader::load_budgeted(&mut self.interp, ps, self.budgets.load)
-            }
+            TableSource::Whole(ps) => Loader::load(&mut self.interp, ps, self.budgets.load),
             TableSource::Plan { frame, modules } => {
                 Loader::load_plan(&mut self.interp, frame, modules, self.budgets.load)
             }
@@ -814,6 +750,7 @@ impl Ldb {
             disconnected: false,
             reg_cache: Vec::new(),
             checkpoints: crate::checkpoint::CheckpointStore::default(),
+            fault: opts.fault,
         };
         // Recover any breakpoints a crashed predecessor left planted.
         let _ = target.breakpoints.recover(&target.client);
@@ -851,7 +788,20 @@ impl Ldb {
         let wire = handle
             .connect_channel()
             .map_err(|e| LdbError::Nub(ldb_nub::NubError::Io(e)))?;
-        self.attach(Box::new(wire), loader_ps, Some(handle))
+        self.attach(Box::new(wire), TableSource::Whole(loader_ps), Some(handle), AttachOpts::default())
+    }
+
+    /// Wrap `wire` in a fault injector journaling into the session
+    /// recorder, when `fault` names one.
+    fn maybe_faulty(&self, wire: Box<dyn Wire>, fault: &Option<FaultConfig>) -> Box<dyn Wire> {
+        match fault {
+            Some(cfg) => {
+                let mut fw = FaultyWire::new(wire, cfg.clone());
+                fw.set_trace(self.trace.clone());
+                Box::new(fw)
+            }
+            None => wire,
+        }
     }
 
     /// Reattach target `id` over a fresh wire after the old connection
@@ -859,7 +809,8 @@ impl Ldb {
     /// client's transport without losing debugger-side state, waits for
     /// the nub to (re-)announce the current stop, re-runs plant recovery
     /// so breakpoints planted before the loss are known again, and
-    /// rebuilds the frame view.
+    /// rebuilds the frame view. A target attached through a fault
+    /// injector gets the same injector on the fresh wire.
     ///
     /// # Errors
     /// Unknown target id; nub failures on the fresh wire.
@@ -868,6 +819,7 @@ impl Ldb {
             return Err(LdbError::msg(format!("no target {id}")));
         }
         self.trace.emit(Layer::Dbg, Severity::Info, "reconnect", &[("target", id.into())]);
+        let wire = self.maybe_faulty(wire, &self.targets[id].fault);
         self.targets[id].client.borrow_mut().reconnect(wire);
         let ev = self.targets[id].client.borrow_mut().wait_event()?;
         self.targets[id].disconnected = false;
@@ -970,7 +922,7 @@ impl Ldb {
     }
 
     /// Run every pending lazily-loaded symbol-table module of target
-    /// `id` (see [`Ldb::attach_compiled_with_config`]). Definitions land
+    /// `id` (attached from [`TableSource::Compiled`]). Definitions land
     /// in the target's unit dictionary under the same sandbox discipline
     /// as at attach time; failures quarantine the module (visible in
     /// `info modules`, recoverable via `reload`).

@@ -35,6 +35,7 @@ pub mod amemory;
 pub mod breakpoint;
 pub mod chaos;
 pub mod checkpoint;
+pub mod commands;
 pub mod debugger;
 pub mod event;
 pub mod frame;
@@ -48,7 +49,9 @@ pub use amemory::{AbstractMemory, AliasMemory, CachedMemory, CacheStats, JoinedM
 pub use breakpoint::Breakpoints;
 pub use chaos::{ChaosConfig, ChaosMemory, ChaosStats};
 pub use checkpoint::{CheckpointStats, CheckpointStore};
-pub use debugger::{CallArg, CallReturn, Health, Ldb, PsBudgets, ReloadRow, StopEvent, Target};
+pub use debugger::{
+    AttachOpts, CallArg, CallReturn, Health, Ldb, PsBudgets, ReloadRow, StopEvent, TableSource, Target,
+};
 pub use event::{Events, Outcome};
 pub use frame::{walk_stack, Frame, FrameWalker, WalkCtx, WalkError, WalkGuard, WalkStop, WALK_DEPTH_CAP};
 pub use loader::{CompiledTable, FrameMeta, Loader, ModuleTable, Quarantined};
@@ -57,8 +60,10 @@ pub use loader::{CompiledTable, FrameMeta, Loader, ModuleTable, Quarantined};
 pub use ldb_postscript::{compile_module, CompiledModule, ModuleCache};
 pub use ldb_postscript::CacheStats as ModuleCacheStats;
 pub use psops::{CtxRef, EvalCtx, MemHandle};
+pub use commands::{lookup, Command, COMMANDS};
 pub use script::{
-    command_count, panic_text, run_command_guarded, run_script, trace_report, BatchOutcome,
+    command_count, panic_text, run_command_guarded, run_line, run_script, trace_report,
+    BatchOutcome,
 };
 pub use session::{
     CloseReason, Session, SessionBuilder, SessionConfig, SessionError, SessionRegistry,

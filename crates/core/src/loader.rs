@@ -128,31 +128,17 @@ impl Loader {
     /// needs. The arch dictionary must already be on the dictionary stack
     /// (symbol tables execute `Regset0` etc. while loading).
     ///
-    /// # Errors
-    /// PostScript errors (wrapped with byte-offset provenance) and
-    /// malformed tables. The whole table runs under [`Budget::LOAD`]: an
-    /// unbounded loop or allocation bomb in it surfaces as a `timeout` or
-    /// `vmerror` instead of hanging the debugger. For per-module fault
+    /// The whole table runs under `budget` (normally [`Budget::LOAD`]):
+    /// an unbounded loop or allocation bomb in it surfaces as a `timeout`
+    /// or `vmerror` instead of hanging the debugger. For per-module fault
     /// isolation use [`Loader::load_plan`].
-    pub fn load(interp: &mut Interp, loader_ps: &str) -> PsResult<Loader> {
-        Loader::load_budgeted(interp, loader_ps, Budget::LOAD)
-    }
-
-    /// As [`Loader::load`], under an explicit budget.
     ///
     /// # Errors
-    /// As [`Loader::load`].
-    pub fn load_budgeted(
-        interp: &mut Interp,
-        loader_ps: &str,
-        budget: Budget,
-    ) -> PsResult<Loader> {
-        let save = interp.push_budget(budget);
-        let r = run_with_provenance(interp, "<loader table>", loader_ps);
-        interp.pop_budget(save);
-        r?;
-        let table_obj = interp.pop()?;
-        let table = table_obj.as_dict()?;
+    /// PostScript errors (wrapped with byte-offset provenance) and
+    /// malformed tables.
+    pub fn load(interp: &mut Interp, loader_ps: &str, budget: Budget) -> PsResult<Loader> {
+        let table =
+            run_frame(interp, budget, |i| run_with_provenance(i, "<loader table>", loader_ps))?;
         Loader::from_table(table, Vec::new())
     }
 
@@ -173,79 +159,27 @@ impl Loader {
         modules: &[ModuleTable],
         budget: Budget,
     ) -> PsResult<Loader> {
-        let save = interp.push_budget(budget);
-        let r = run_with_provenance(interp, "<loader frame>", frame_ps);
-        interp.pop_budget(save);
-        r?;
-        let table = interp.pop()?.as_dict()?;
-
+        let table =
+            run_frame(interp, budget, |i| run_with_provenance(i, "<loader frame>", frame_ps))?;
         let top: DictRef = Rc::new(RefCell::new(Dict::new(64)));
         let mut quarantined = Vec::new();
         let mut arch: Option<Arch> = None;
         for m in modules {
-            match run_module(interp, &m.name, &m.ps, budget) {
-                Ok(unit) => {
-                    let a = unit_arch(&unit);
-                    match (arch, a) {
-                        (_, None) => {
-                            // Validation guarantees a known architecture;
-                            // defend anyway.
-                            let reason = "unknown architecture".to_string();
-                            trace_module(
-                                interp,
-                                "quarantine",
-                                Severity::Warn,
-                                &m.name,
-                                Some(&reason),
-                            );
-                            quarantined.push(Quarantined {
-                                module: m.name.clone(),
-                                reason,
-                                ps: m.ps.clone(),
-                            });
-                            continue;
-                        }
-                        (None, Some(a)) => arch = Some(a),
-                        (Some(prev), Some(a)) if prev != a => {
-                            let reason =
-                                format!("architecture mismatch ({a} table in a {prev} program)");
-                            trace_module(
-                                interp,
-                                "quarantine",
-                                Severity::Warn,
-                                &m.name,
-                                Some(&reason),
-                            );
-                            quarantined.push(Quarantined {
-                                module: m.name.clone(),
-                                reason,
-                                ps: m.ps.clone(),
-                            });
-                            continue;
-                        }
-                        _ => {}
-                    }
+            let admitted = run_module(interp, &m.name, &m.ps, budget)
+                .and_then(|unit| Ok((check_arch(unit_arch(&unit), arch)?, unit)));
+            match admitted {
+                Ok((a, unit)) => {
+                    arch = Some(a);
                     trace_module(interp, "module_load", Severity::Info, &m.name, None);
                     merge_unit_into(&top, &unit);
                 }
                 Err(reason) => {
-                    trace_module(interp, "quarantine", Severity::Warn, &m.name, Some(&reason));
-                    quarantined.push(Quarantined {
-                        module: m.name.clone(),
-                        reason,
-                        ps: m.ps.clone(),
-                    });
+                    quarantine(interp, &mut quarantined, m.name.clone(), reason, m.ps.clone());
                 }
             }
         }
         if arch.is_none() && !modules.is_empty() {
-            let reasons: Vec<String> =
-                quarantined.iter().map(|q| format!("{}: {}", q.module, q.reason)).collect();
-            return Err(bad(format!(
-                "all {} modules quarantined: {}",
-                modules.len(),
-                reasons.join("; ")
-            )));
+            return Err(all_quarantined(modules.len(), &quarantined));
         }
         table.borrow_mut().put_name("symtab", Object::lit(Value::Dict(Rc::clone(&top))));
         Loader::from_table(table, quarantined)
@@ -271,52 +205,32 @@ impl Loader {
         modules: &[CompiledTable],
         budget: Budget,
     ) -> PsResult<Loader> {
-        let save = interp.push_budget(budget);
-        let r = frame.run_with_provenance(interp, "<loader frame>");
-        interp.pop_budget(save);
-        r?;
-        let table = interp.pop()?.as_dict()?;
-
+        let table = run_frame(interp, budget, |i| frame.run_with_provenance(i, "<loader frame>"))?;
         let top: DictRef = Rc::new(RefCell::new(Dict::new(64)));
         let mut quarantined = Vec::new();
         let mut pending = Vec::new();
         let mut arch: Option<Arch> = None;
         for m in modules {
-            let header = m.module.architecture().and_then(Arch::from_name);
-            let reason = match (arch, header) {
-                (_, None) => Some(match m.module.architecture() {
-                    None => format!("module {}: table has no /architecture", m.name),
-                    Some(a) => format!("module {}: unknown architecture ({a})", m.name),
-                }),
-                (Some(prev), Some(a)) if prev != a => {
-                    Some(format!("architecture mismatch ({a} table in a {prev} program)"))
-                }
-                (None, Some(a)) => {
-                    arch = Some(a);
-                    None
-                }
-                _ => None,
+            let admitted = match m.module.architecture() {
+                None => Err(format!("module {}: table has no /architecture", m.name)),
+                Some(a) => match Arch::from_name(a) {
+                    None => Err(format!("module {}: unknown architecture ({a})", m.name)),
+                    known => check_arch(known, arch),
+                },
             };
-            match reason {
-                Some(reason) => {
-                    trace_module(interp, "quarantine", Severity::Warn, &m.name, Some(&reason));
-                    quarantined.push(Quarantined {
-                        module: m.name.clone(),
-                        reason,
-                        ps: m.module.source().to_string(),
-                    });
+            match admitted {
+                Ok(a) => {
+                    arch = Some(a);
+                    pending.push(m.clone());
                 }
-                None => pending.push(m.clone()),
+                Err(reason) => {
+                    let ps = m.module.source().to_string();
+                    quarantine(interp, &mut quarantined, m.name.clone(), reason, ps);
+                }
             }
         }
         if arch.is_none() && !modules.is_empty() {
-            let reasons: Vec<String> =
-                quarantined.iter().map(|q| format!("{}: {}", q.module, q.reason)).collect();
-            return Err(bad(format!(
-                "all {} modules quarantined: {}",
-                modules.len(),
-                reasons.join("; ")
-            )));
+            return Err(all_quarantined(modules.len(), &quarantined));
         }
         if let Some(a) = arch {
             top.borrow_mut().put_name("architecture", Object::string(a.name()));
@@ -373,40 +287,26 @@ impl Loader {
 
     /// Run one admitted module and merge or quarantine it.
     fn force_one(&self, interp: &mut Interp, budget: Budget, ct: &CompiledTable) -> bool {
-        match run_compiled_module(interp, &ct.name, &ct.module, budget) {
-            Ok(unit) => match unit_arch(&unit) {
-                Some(a) if a == self.arch => {
-                    trace_module(interp, "module_load", Severity::Info, &ct.name, None);
-                    merge_unit_into(&self.top, &unit);
-                    true
-                }
-                other => {
-                    let reason = match other {
-                        Some(a) => format!(
-                            "architecture mismatch ({a} table in a {} program)",
-                            self.arch
-                        ),
-                        None => "unknown architecture".into(),
-                    };
-                    trace_module(interp, "quarantine", Severity::Warn, &ct.name, Some(&reason));
-                    self.quarantined.borrow_mut().push(Quarantined {
-                        module: ct.name.clone(),
-                        reason,
-                        ps: ct.module.source().to_string(),
-                    });
-                    false
-                }
-            },
+        match run_compiled_module(interp, &ct.name, &ct.module, budget)
+            .and_then(|unit| self.same_arch(unit))
+        {
+            Ok(unit) => {
+                trace_module(interp, "module_load", Severity::Info, &ct.name, None);
+                merge_unit_into(&self.top, &unit);
+                true
+            }
             Err(reason) => {
-                trace_module(interp, "quarantine", Severity::Warn, &ct.name, Some(&reason));
-                self.quarantined.borrow_mut().push(Quarantined {
-                    module: ct.name.clone(),
-                    reason,
-                    ps: ct.module.source().to_string(),
-                });
+                let ps = ct.module.source().to_string();
+                quarantine(interp, &mut self.quarantined.borrow_mut(), ct.name.clone(), reason, ps);
                 false
             }
         }
+    }
+
+    /// Admit a unit that ran cleanly only if it names this program's
+    /// architecture.
+    fn same_arch(&self, unit: DictRef) -> Result<DictRef, String> {
+        check_arch(unit_arch(&unit), Some(self.arch)).map(|_| unit)
     }
 
     /// Extract the pieces ldb needs from an already-interpreted table.
@@ -494,30 +394,15 @@ impl Loader {
         let mut out = Vec::new();
         let mut keep = Vec::new();
         for q in pending {
-            match run_module(interp, &q.module, &q.ps, budget) {
-                Ok(unit) => match unit_arch(&unit) {
-                    Some(a) if a == self.arch => {
-                        trace_module(interp, "module_reload", Severity::Info, &q.module, None);
-                        merge_unit_into(&self.top, &unit);
-                        out.push((q.module, Ok(())));
-                    }
-                    other => {
-                        let reason = match other {
-                            Some(a) => format!(
-                                "architecture mismatch ({a} table in a {} program)",
-                                self.arch
-                            ),
-                            None => "unknown architecture".into(),
-                        };
-                        trace_module(interp, "quarantine", Severity::Warn, &q.module, Some(&reason));
-                        out.push((q.module.clone(), Err(reason.clone())));
-                        keep.push(Quarantined { reason, ..q });
-                    }
-                },
+            match run_module(interp, &q.module, &q.ps, budget).and_then(|u| self.same_arch(u)) {
+                Ok(unit) => {
+                    trace_module(interp, "module_reload", Severity::Info, &q.module, None);
+                    merge_unit_into(&self.top, &unit);
+                    out.push((q.module, Ok(())));
+                }
                 Err(reason) => {
-                    trace_module(interp, "quarantine", Severity::Warn, &q.module, Some(&reason));
                     out.push((q.module.clone(), Err(reason.clone())));
-                    keep.push(Quarantined { reason, ..q });
+                    quarantine(interp, &mut keep, q.module, reason, q.ps);
                 }
             }
         }
@@ -640,6 +525,52 @@ pub type LoaderRef = Rc<Loader>;
 
 fn bad(msg: impl Into<String>) -> ldb_postscript::PsError {
     ldb_postscript::PsError::runtime(ldb_postscript::ErrorKind::HostError, msg)
+}
+
+/// Journal a module's quarantine and record it (with its table text, so
+/// `reload` can retry it).
+fn quarantine(
+    interp: &Interp,
+    into: &mut Vec<Quarantined>,
+    module: String,
+    reason: String,
+    ps: String,
+) {
+    trace_module(interp, "quarantine", Severity::Warn, &module, Some(&reason));
+    into.push(Quarantined { module, reason, ps });
+}
+
+/// The load failure when no module survived.
+fn all_quarantined(n: usize, quarantined: &[Quarantined]) -> ldb_postscript::PsError {
+    let reasons: Vec<String> =
+        quarantined.iter().map(|q| format!("{}: {}", q.module, q.reason)).collect();
+    bad(format!("all {n} modules quarantined: {}", reasons.join("; ")))
+}
+
+/// Check a unit's architecture against the program's (`None` until the
+/// first module is admitted); the admitted architecture, or why not.
+fn check_arch(got: Option<Arch>, program: Option<Arch>) -> Result<Arch, String> {
+    match (got, program) {
+        (None, _) => Err("unknown architecture".to_string()),
+        (Some(a), Some(prev)) if a != prev => {
+            Err(format!("architecture mismatch ({a} table in a {prev} program)"))
+        }
+        (Some(a), _) => Ok(a),
+    }
+}
+
+/// Run the trusted loader frame under `budget` and take the dictionary
+/// it leaves.
+fn run_frame(
+    interp: &mut Interp,
+    budget: Budget,
+    run: impl FnOnce(&mut Interp) -> PsResult<()>,
+) -> PsResult<DictRef> {
+    let save = interp.push_budget(budget);
+    let r = run(interp);
+    interp.pop_budget(save);
+    r?;
+    interp.pop()?.as_dict()
 }
 
 /// Run `ps` token by token so errors carry the module name and the byte

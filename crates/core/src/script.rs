@@ -12,13 +12,11 @@
 //! byte-identical journals — which is exactly what the
 //! `tests/replay_golden.rs` harness checks on all four architectures.
 //!
-//! The command set mirrors the interactive CLI's core (`b`/`bl`/`c`/`s`/
-//! `n`/`fin`/`p`/`e`/`bt`/`f`/`regs`/`checkpoint`/`reverse-step`/
-//! `reverse-next`/`reverse-continue`/`info wire`/`info trace`), with
-//! output formats chosen to be stable and machine-diffable rather than
-//! chatty.
+//! Commands come from the one [command table](crate::commands) the
+//! interactive CLI, `ldbd`, and `ldbfleet` share, with output formats
+//! chosen to be stable and machine-diffable rather than chatty.
 
-use ldb_trace::{Layer, Severity, Trace};
+use ldb_trace::{Layer, Severity};
 
 use crate::debugger::{Ldb, StopEvent};
 use crate::LdbError;
@@ -44,7 +42,7 @@ pub fn report_stop(ev: &StopEvent) -> String {
 }
 
 /// Summed wire metrics over every attached target.
-fn total_metrics(ldb: &Ldb) -> ldb_nub::WireMetrics {
+pub(crate) fn total_metrics(ldb: &Ldb) -> ldb_nub::WireMetrics {
     let mut m = ldb_nub::WireMetrics::default();
     for id in 0..ldb.target_count() {
         let t = ldb.target(id).client.borrow().metrics();
@@ -104,122 +102,6 @@ pub fn trace_report(ldb: &Ldb) -> String {
     out
 }
 
-/// The `info wire` report over every attached target.
-fn wire_report(ldb: &Ldb) -> String {
-    let m = total_metrics(ldb);
-    format!(
-        "wire: {} transactions, {} retransmits, {} bytes out, {} bytes in",
-        m.transactions, m.retransmits, m.bytes_sent, m.bytes_received
-    )
-}
-
-fn run_command(ldb: &mut Ldb, cmd: &str, rest: &str) -> Result<String, LdbError> {
-    Ok(match cmd {
-        "b" => {
-            let mut it = rest.split_whitespace();
-            let func = it.next().ok_or_else(|| LdbError::msg("usage: b <func> [stop]"))?;
-            let index: usize = it
-                .next()
-                .unwrap_or("0")
-                .parse()
-                .map_err(|_| LdbError::msg("bad stopping-point index"))?;
-            let addr = ldb.break_at(func, index)?;
-            format!("breakpoint at {addr:#x}")
-        }
-        "bl" => {
-            let line: u32 =
-                rest.trim().parse().map_err(|_| LdbError::msg("usage: bl <line>"))?;
-            let addr = ldb.break_at_line(line)?;
-            format!("breakpoint at {addr:#x}")
-        }
-        "c" => report_stop(&ldb.cont_watch()?),
-        "s" => report_stop(&ldb.step_insn()?),
-        "n" => report_stop(&ldb.step_over()?),
-        "checkpoint" => {
-            let steps = ldb.checkpoint_now()?;
-            format!("checkpoint at step {steps}")
-        }
-        "reverse-step" | "rs" => report_stop(&ldb.reverse_step_insn()?),
-        "reverse-next" | "rn" => report_stop(&ldb.reverse_next()?),
-        "reverse-continue" | "rc" => report_stop(&ldb.reverse_cont()?),
-        "fin" => {
-            let (ev, ret) = ldb.finish()?;
-            match ret {
-                Some(v) => format!("{}\nreturn value: {v}", report_stop(&ev)),
-                None => report_stop(&ev),
-            }
-        }
-        "p" => {
-            let name = rest.trim();
-            format!("{name} = {}", ldb.print_var(name)?)
-        }
-        "e" => ldb.eval(rest.trim())?,
-        "bt" => {
-            let (rows, stop) = ldb.backtrace();
-            let mut lines: Vec<String> = rows
-                .iter()
-                .map(|(level, name, pc, _vfp)| format!("#{level} {name} at {pc:#x}"))
-                .collect();
-            if lines.is_empty() {
-                lines.push("no stack".to_string());
-            }
-            if !stop.is_clean() {
-                lines.push(format!("walk truncated: {stop}"));
-            }
-            lines.join("\n")
-        }
-        "f" => {
-            let level: usize =
-                rest.trim().parse().map_err(|_| LdbError::msg("usage: f <frame>"))?;
-            ldb.select_frame(level)?;
-            format!("frame {level}")
-        }
-        "regs" => {
-            let regs = ldb.registers()?;
-            regs.iter()
-                .map(|(name, v)| format!("{name}={v:#010x}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        }
-        // The supervision drill: a deliberate panic inside command
-        // dispatch, the scripted analog of the daemon's `spin` builtin.
-        // `run_command_guarded` must quarantine it (error line, health
-        // counter, recovered session) and the script must keep going —
-        // which is exactly what tests/script_recovery.rs and the fleet's
-        // panic corpus assert.
-        "__panic" => {
-            let msg = if rest.trim().is_empty() { "scripted panic drill" } else { rest.trim() };
-            panic!("{msg}");
-        }
-        "info" => match rest.trim() {
-            "wire" => wire_report(ldb),
-            "trace" => trace_report(ldb),
-            "health" => ldb.health().to_string(),
-            "health --json" => ldb.health().to_json(),
-            "checkpoints" => {
-                let rows = ldb.checkpoint_rows()?;
-                let s = ldb.checkpoint_stats()?;
-                let mut lines: Vec<String> = rows
-                    .iter()
-                    .map(|(steps, raw, packed)| {
-                        format!("  step {steps}: {raw} bytes ({packed} compressed)")
-                    })
-                    .collect();
-                lines.insert(
-                    0,
-                    format!(
-                        "checkpoints: {}/{} held, {} raw bytes ({} compressed)",
-                        s.len, s.cap, s.raw, s.compressed
-                    ),
-                );
-                lines.join("\n")
-            }
-            other => return Err(LdbError::msg(format!("no `info {other}` in scripts"))),
-        },
-        other => return Err(LdbError::msg(format!("unknown script command `{other}`"))),
-    })
-}
-
 /// A short rendering of a caught panic payload.
 pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload
@@ -229,12 +111,16 @@ pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Run one command under `catch_unwind`: a residual panic anywhere in the
-/// command's implementation quarantines that one command — journaled,
-/// counted in `info health`, the session state re-validated — instead of
-/// killing the loop. The CLI wraps its dispatcher the same way.
+/// Run one command through the [command table](crate::commands) under
+/// `catch_unwind`: a residual panic anywhere in the command's
+/// implementation quarantines that one command — journaled, counted in
+/// `info health`, the session state re-validated — instead of killing
+/// the loop. Every front end (the REPL, `--script`, `ldbd`, `ldbfleet`)
+/// dispatches through here.
 pub fn run_command_guarded(ldb: &mut Ldb, cmd: &str, rest: &str) -> Result<String, LdbError> {
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_command(ldb, cmd, rest)));
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        crate::commands::dispatch(ldb, cmd, rest)
+    }));
     match r {
         Ok(r) => r,
         Err(payload) => {
@@ -258,40 +144,54 @@ pub fn run_command_guarded(ldb: &mut Ldb, cmd: &str, rest: &str) -> Result<Strin
 /// `error: …` transcript lines rather than aborting the script — a
 /// replayed session must reproduce its failures too.
 pub fn run_script(ldb: &mut Ldb, script: &str) -> String {
-    let trace: Trace = ldb.trace().clone();
     // One probe for the whole script: the per-command `cmd` record costs
     // an allocation (the command text), which a headless batch run with
     // tracing off — or filtered above Info — must not pay 10k times over.
-    let journal_cmds = trace.enabled(Layer::Dbg, Severity::Info);
+    let journal_cmds = ldb.trace().enabled(Layer::Dbg, Severity::Info);
     let mut out = String::new();
     for line in script.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if journal_cmds {
-            trace.emit(Layer::Dbg, Severity::Info, "cmd", &[("text", line.to_string().into())]);
-        }
         out.push_str("(ldb) ");
         out.push_str(line);
         out.push('\n');
-        let (cmd, rest) = match line.split_once(char::is_whitespace) {
-            Some((c, r)) => (c, r),
-            None => (line, ""),
-        };
-        match run_command_guarded(ldb, cmd, rest) {
-            Ok(text) => {
-                if !text.is_empty() {
-                    out.push_str(&text);
-                    out.push('\n');
-                }
-            }
-            Err(e) => {
-                out.push_str(&format!("error: {e}\n"));
-            }
-        }
+        run_line_into(ldb, line, journal_cmds, &mut out);
     }
     out
+}
+
+/// Run one command line, returning its output as a transcript shows it
+/// (without the echo): the command's text and a newline, nothing for
+/// empty output, blank lines, and `#` comments, or an `error: …` line.
+/// The interactive REPL runs every table command through here.
+pub fn run_line(ldb: &mut Ldb, line: &str) -> String {
+    let line = line.trim();
+    let mut out = String::new();
+    if !line.is_empty() && !line.starts_with('#') {
+        let journal = ldb.trace().enabled(Layer::Dbg, Severity::Info);
+        run_line_into(ldb, line, journal, &mut out);
+    }
+    out
+}
+
+fn run_line_into(ldb: &mut Ldb, line: &str, journal: bool, out: &mut String) {
+    if journal {
+        ldb.trace().emit(Layer::Dbg, Severity::Info, "cmd", &[("text", line.to_string().into())]);
+    }
+    let (cmd, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+    match run_command_guarded(ldb, cmd, rest) {
+        Ok(text) => {
+            if !text.is_empty() {
+                out.push_str(&text);
+                out.push('\n');
+            }
+        }
+        Err(e) => {
+            out.push_str(&format!("error: {e}\n"));
+        }
+    }
 }
 
 /// How many commands a script will execute: the non-blank, non-comment

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use ldb_core::amemory::{AbstractMemory, FakeMemory};
 use ldb_core::psops::{make_debug_dict, EvalCtx};
 use ldb_core::{symtab, Loader};
-use ldb_postscript::Interp;
+use ldb_postscript::{Budget, Interp};
 
 const HAND_TABLE: &str = r#"
 << /symtab
@@ -38,7 +38,7 @@ fn setup() -> (Interp, Loader, Rc<FakeMemory>) {
     fake.store('d', 0x5000, 4, 77).unwrap();
     ctx.borrow_mut().mem = Some(fake.clone());
     ctx.borrow_mut().anchors.insert("_stanchor_t".into(), 0x4000);
-    let loader = Loader::load(&mut interp, HAND_TABLE).unwrap();
+    let loader = Loader::load(&mut interp, HAND_TABLE, Budget::LOAD).unwrap();
     (interp, loader, fake)
 }
 
@@ -124,6 +124,6 @@ fn malformed_tables_are_rejected() {
         let ctx = Rc::new(RefCell::new(EvalCtx::new()));
         let d = make_debug_dict(&mut i, ctx);
         i.push_dict(d);
-        assert!(Loader::load(&mut i, bad).is_err(), "{bad}");
+        assert!(Loader::load(&mut i, bad, Budget::LOAD).is_err(), "{bad}");
     }
 }

@@ -54,11 +54,11 @@ use std::time::{Duration, Instant};
 use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_cc::pssym::PsMode;
 use ldb_core::{
-    BatchOutcome, ChaosConfig, CloseReason, CompiledTable, Health, LdbError, ModuleCache, Session,
-    SessionBuilder, SessionConfig, SessionError,
+    AttachOpts, BatchOutcome, ChaosConfig, CloseReason, CompiledTable, Health, LdbError,
+    ModuleCache, Session, SessionBuilder, SessionConfig, SessionError, TableSource,
 };
 use ldb_machine::{Arch, Image};
-use ldb_nub::{spawn, ClientConfig, FaultConfig, FaultyWire, NubConfig, Wire};
+use ldb_nub::{spawn, ClientConfig, FaultConfig, NubConfig};
 use ldb_trace::{Layer, Severity, Trace, TraceConfig};
 
 /// One scripted session: what to debug, what to type at it, and which
@@ -344,19 +344,13 @@ fn attempt_builder(
         let wire = handle
             .connect_channel()
             .map_err(|e| LdbError::msg(format!("connect: {e}")))?;
-        let wire: Box<dyn Wire> = match fault {
-            Some(mut cfg) => {
-                // A retried attempt replays against a *different* fault
-                // schedule — that is what makes the fault transient —
-                // but a deterministic one: seed + attempt, nothing
-                // drawn from the clock.
-                cfg.seed = cfg.seed.wrapping_add(u64::from(attempt));
-                let mut fw = FaultyWire::wrap(wire, cfg);
-                fw.set_trace(ldb.trace().clone());
-                Box::new(fw)
-            }
-            None => Box::new(wire),
-        };
+        // A retried attempt replays against a *different* fault schedule
+        // — that is what makes the fault transient — but a deterministic
+        // one: seed + attempt, nothing drawn from the clock.
+        let fault = fault.map(|mut cfg| {
+            cfg.seed = cfg.seed.wrapping_add(u64::from(attempt));
+            cfg
+        });
         ldb.set_chaos(chaos);
         let client = ClientConfig {
             reply_timeout: Duration::from_secs(2),
@@ -365,7 +359,8 @@ fn attempt_builder(
             event_poll: Duration::from_millis(100),
             jitter_seed: u64::from(attempt),
         };
-        ldb.attach_compiled_with_config(wire, &prepared.frame, &prepared.tables, Some(handle), client)?;
+        let source = TableSource::Compiled { frame: &prepared.frame, modules: &prepared.tables };
+        ldb.attach(Box::new(wire), source, Some(handle), AttachOpts { client, fault })?;
         Ok(String::new())
     })
 }

@@ -35,6 +35,11 @@
 #                      byte-identical reports across worker counts, retry
 #                      policy, typed shedding, journal cross-check, and an
 #                      end-to-end chaos-seed minimization
+#   command parity   — every command-table row gives the same text through
+#                      the REPL, `ldb --script`, and an ldbd tenant
+#   benchmark smoke  — every perfbench workload, short, in both modes: a
+#                      changed public call the benchmark makes fails here,
+#                      not in the benchmark run
 #
 # `--soak` additionally runs the 10k-session fleet soak (release mode,
 # two same-corpus passes, byte-identical bucket reports, zero leaked
@@ -67,6 +72,8 @@ cargo test -q --test reverse_exec
 cargo test -q --test reverse_golden
 cargo test -q --test script_recovery
 cargo test -q --test fleet_smoke
+cargo test -q --test command_parity
+python3 perfbench/test_smoke.py
 
 if [ "$soak" = 1 ]; then
     cargo test -q --release --test fleet_soak -- --ignored --nocapture

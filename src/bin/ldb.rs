@@ -32,50 +32,55 @@
 //! defensive layers (guarded stack walks, cycle-safe printing, the
 //! crash-proof command loop) fired.
 //!
-//! Commands:
-//!   b <func> [n] [if <expr>]  breakpoint, optionally conditional
-//!   bl <line>        breakpoint at the first stopping point on a line
-//!   ba <addr>        single-step breakpoint at a raw code address
-//!   d <addr>         delete the breakpoint at addr
-//!   w <name>         watch a variable (single-steps; stops on change)
-//!   dw <name>        delete the watchpoint on name
-//!   info b           list breakpoints, watchpoints, displays
-//!   info wire        wire transaction counters and cache statistics
-//!   info trace       flight-recorder record counts and recent journal tail
-//!   c | run          continue
-//!   s                single-step one instruction
-//!   n                run to the next stopping point in this frame
-//!   fin              run until the selected frame returns
-//!   checkpoint       capture a restore point (info checkpoints lists them)
-//!   rs | rn | rc     reverse-step / reverse-next / reverse-continue
-//!   display <expr>   re-evaluate and print expr at every stop
-//!   undisplay <n>    remove display n
-//!   x <addr> [n]     hex dump of target data memory
-//!   pc <addr>        set the program counter (repair-and-resume)
-//!   p <name>         print a variable via its type's printer
-//!   e <expr>         evaluate a C expression (assignments allowed)
-//!   call <f>(<args>) call a target function, print its return value
-//!   bt               backtrace
-//!   f <n>            select frame n
-//!   regs             registers (machine-dependent names)
-//!   disas [n]        disassemble n bytes around the current pc
-//!   list             source annotated with stopping points
-//!   ps <code>        run raw PostScript in the embedded interpreter
-//!   detach           detach, preserving target state in the nub
-//!   attach           reconnect to the detached target
-//!   reconnect        replace a lost/faulty wire with a fresh one
-//!   h | help         this list
-//!   q                quit
+//! Commands — one table in `ldb_core::commands`, shared with `--script`,
+//! `ldbd` tenants and `ldbfleet` sessions (this is its `help`):
+//!
+//!   b <func> [n] [if <expr>]  breakpoint at stopping point n (default 0) (also break)
+//!   bl <line>                 breakpoint at the first stopping point on a line
+//!   ba <addr>                 single-step breakpoint at a raw code address
+//!   d <addr>                  delete the breakpoint at addr (also delete)
+//!   w <name>                  watch a variable (stops when it changes) (also watch)
+//!   dw <name>                 delete the watchpoint on name
+//!   c                         continue (also cont, run, r)
+//!   s                         single-step one instruction (also step)
+//!   n                         step to the next stopping point in this frame (also next)
+//!   fin                       run until the selected frame returns (also finish)
+//!   checkpoint                capture a restore point
+//!   rs                        rewind one instruction (also reverse-step)
+//!   rn                        rewind to the previous source line (also reverse-next)
+//!   rc                        rewind to the previous breakpoint hit (also reverse-continue)
+//!   pc <addr>                 set the program counter (repair and resume)
+//!   p <name>                  print a variable via its type's printer (also print)
+//!   e <expr>                  evaluate a C expression (assignments, calls allowed) (also eval)
+//!   call <f>(<args>)          call a target function
+//!   display <expr>            re-evaluate and print expr at every stop
+//!   undisplay <k>             remove display k
+//!   x <addr> [n]              hex dump n bytes (default 64) of data memory (also examine)
+//!   bt                        backtrace (also where)
+//!   f <n>                     select frame n (also frame)
+//!   regs                      registers (machine-dependent names)
+//!   ps <code>                 run PostScript under the interactive budget
+//!   reload                    retry quarantined symbol tables
+//!   info                      list breakpoints, watchpoints, displays
+//!   info wire                 wire transaction counters over every target
+//!   info cache                wire block-cache counters (current target)
+//!   info trace                flight-recorder counts and wire cross-check
+//!   info trace tail           the most recent flight-recorder records
+//!   info health [--json]      defensive-layer counters
+//!   info checkpoints          list restore points
+//!   info ps                   sandbox budgets, spending, quarantined modules
+//!   help                      this list (also h)
+//!   interactive only: list | disas [n] | detach | attach | reconnect | q
 //! ```
 
 use std::io::{BufRead, Write};
 
 use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts, CompiledProgram};
 use ldb_cc::pssym;
-use ldb_core::{ChaosConfig, Ldb, ModuleTable, StopEvent};
+use ldb_core::{AttachOpts, ChaosConfig, Ldb, ModuleTable, TableSource};
 use ldb_machine::{Arch, ByteOrder};
 use ldb_machine::core::read_core;
-use ldb_nub::{spawn_machine, FaultConfig, FaultyWire, NubConfig, NubHandle, TcpWire, Wire};
+use ldb_nub::{spawn_machine, FaultConfig, NubConfig, NubHandle, TcpWire, Wire};
 use ldb_trace::{Trace, TraceConfig};
 
 fn main() {
@@ -239,7 +244,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let pc = machine.cpu.pc;
         let handle = spawn_machine(machine, context, NubConfig::default());
         let wire = handle.connect_channel()?;
-        ldb.attach_plan(maybe_faulty(wire, &fault, &trace), &frame_ps, &modules, Some(handle))?;
+        attach(&mut ldb, Box::new(wire), &frame_ps, &modules, handle, &fault)?;
         println!(
             "core: signal {sig} (code {code:#x}) at pc {pc:#x}; post-mortem session"
         );
@@ -257,13 +262,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         });
         let stream = std::net::TcpStream::connect(addr)?;
-        ldb.attach_plan(maybe_faulty(TcpWire::new(stream), &fault, &trace), &frame_ps, &modules, Some(handle))?;
+        attach(&mut ldb, Box::new(TcpWire::new(stream)), &frame_ps, &modules, handle, &fault)?;
         println!("connected over tcp://{addr}");
     } else {
         let handle =
             ldb_nub::spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
         let wire = handle.connect_channel()?;
-        ldb.attach_plan(maybe_faulty(wire, &fault, &trace), &frame_ps, &modules, Some(handle))?;
+        attach(&mut ldb, Box::new(wire), &frame_ps, &modules, handle, &fault)?;
     }
     warn_quarantined(&ldb);
     // Headless batch mode: run the script, print the transcript, exit
@@ -296,39 +301,36 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         c.linked.stats.insn_count
     );
 
-    let mut sess = Session { fault, trace: trace.clone(), ..Session::default() };
+    let mut parked: Option<NubHandle> = None;
     let stdin = std::io::stdin();
     let mut lines = stdin.lock().lines();
     loop {
         print!("(ldb) ");
         std::io::stdout().flush()?;
         let Some(Ok(line)) = lines.next() else { break };
-        let mut parts = line.split_whitespace();
-        let cmd = parts.next().unwrap_or("");
-        let rest: Vec<&str> = parts.collect();
-        // One hostile command must not take the session down: a residual
-        // panic anywhere in dispatch quarantines that command (journaled,
-        // counted by `info health`), re-validates session state, and the
-        // loop keeps going.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch(&mut ldb, &mut sess, &c, &src, cmd, &rest)
-        }));
-        match result {
-            Ok(Ok(true)) => break,
-            Ok(Ok(false)) => {}
-            Ok(Err(e)) => println!("error: {e}"),
-            Err(payload) => {
-                let msg = ldb_core::panic_text(payload.as_ref());
-                trace.emit(
-                    ldb_trace::Layer::Dbg,
-                    ldb_trace::Severity::Warn,
-                    "panic",
-                    &[("cmd", cmd.to_string().into()), ("msg", msg.clone().into())],
-                );
-                ldb.note_quarantined();
-                ldb.recover_session();
-                println!("error: command quarantined (internal panic: {msg})");
+        let mut words = line.split_whitespace();
+        let cmd = words.next().unwrap_or("");
+        let arg = words.next();
+        // Only the verbs that need what this process alone owns — the
+        // nub handles, the source text, the image's byte order — are
+        // handled here; every other line goes through the command table.
+        let local = match cmd {
+            "q" | "quit" => break,
+            "detach" => detach(&mut ldb, &mut parked),
+            "attach" => reattach(&mut ldb, &mut parked, &c, &fault),
+            "reconnect" => reconnect(&mut ldb),
+            "list" | "l" => list(&c, &src),
+            "disas" | "di" => disas(&ldb, &c, arg),
+            _ => {
+                // The table's guarded dispatch quarantines a panicking
+                // command (journaled, counted by `info health`) and the
+                // loop keeps going.
+                print!("{}", ldb_core::run_line(&mut ldb, &line));
+                Ok(())
             }
+        };
+        if let Err(e) = local {
+            println!("error: {e}");
         }
         // Keep the on-disk journal current between commands so a crashed
         // session still leaves a usable trace behind.
@@ -341,49 +343,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Per-session CLI state layered over the library: auto-display
-/// expressions (breakpoint conditions live in the library, so every
-/// resume path honors them).
-#[derive(Default)]
-struct Session {
-    /// Expressions re-evaluated and printed at every stop.
-    displays: Vec<String>,
-    /// A detached target: the nub handle keeps the program's thread (and
-    /// preserved state) alive for a later `attach` (the load plan is
-    /// regenerated from the compiled program).
-    parked: Option<NubHandle>,
-    /// Active fault-injection spec; fresh wires (attach, reconnect) are
-    /// wrapped with it too, so the drill follows the session.
-    fault: Option<FaultConfig>,
-    /// The session flight recorder; fresh fault injectors journal into it.
-    trace: Trace,
-}
+type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// Wrap a wire in the session's fault injector, if one is configured; the
-/// injector journals every injected fault into the flight recorder.
-fn maybe_faulty<W: Wire + 'static>(
-    wire: W,
+/// Attach through the program's eager load plan, with the session's
+/// fault injector (if any) on the wire.
+fn attach(
+    ldb: &mut Ldb,
+    wire: Box<dyn Wire>,
+    frame: &str,
+    modules: &[ModuleTable],
+    handle: NubHandle,
     fault: &Option<FaultConfig>,
-    trace: &Trace,
-) -> Box<dyn Wire> {
-    match fault {
-        Some(cfg) => {
-            let mut fw = FaultyWire::wrap(wire, cfg.clone());
-            fw.set_trace(trace.clone());
-            Box::new(fw)
-        }
-        None => Box::new(wire),
-    }
-}
-
-/// Print the auto-display expressions after a stop.
-fn show_displays(ldb: &mut Ldb, sess: &Session) {
-    for (k, expr) in sess.displays.iter().enumerate() {
-        match ldb.eval(expr) {
-            Ok(v) => println!("{k}: {expr} = {v}"),
-            Err(e) => println!("{k}: {expr} = <{e}>"),
-        }
-    }
+) -> Result<usize, ldb_core::LdbError> {
+    let source = TableSource::Plan { frame, modules };
+    let opts = AttachOpts { fault: fault.clone(), ..AttachOpts::default() };
+    ldb.attach(wire, source, Some(handle), opts)
 }
 
 /// The load plan for the compiled program (regenerated on demand; it is
@@ -404,447 +378,87 @@ fn warn_quarantined(ldb: &Ldb) {
     }
 }
 
-fn dispatch(
-    ldb: &mut Ldb,
-    sess: &mut Session,
-    c: &CompiledProgram,
-    src: &str,
-    cmd: &str,
-    rest: &[&str],
-) -> Result<bool, Box<dyn std::error::Error>> {
-    match cmd {
-        "" => {}
-        "q" | "quit" => return Ok(true),
-        "h" | "help" => {
-            println!(
-                "\
-b <func> [n] [if <expr>]  breakpoint at stopping point n (default 0), optionally conditional
-bl <line> | ba <addr>     breakpoint by line / raw address (single-step scheme)
-d <addr>                  delete breakpoint        info   list breakpoints/watches/displays
-info wire                 wire transaction counters and cache statistics
-info ps                   sandbox budgets, fuel/allocation spent, quarantined modules
-info trace                flight-recorder counts, cross-checks, recent journal records
-info health [--json]      defensive-layer counters (truncated walks, cycles, quarantines)
-reload                    retry quarantined symbol tables
-w <name> | dw <name>      watch a variable / stop watching
-c                         continue                 s      step one instruction
-n                         step over (same frame)   fin    run until this frame returns
-checkpoint                capture a restore point  info checkpoints  list restore points
-rs | reverse-step         rewind one instruction (restore + deterministic replay)
-rn | reverse-next         rewind to the previous source line, skipping calls
-rc | reverse-continue     rewind to the most recent breakpoint hit
-p <name>                  print via the type's printer
-e <expr>                  evaluate (assignments and calls allowed)
-call <f>(<args>)          call a target function
-display <expr> | undisplay <k>   re-evaluate at every stop / remove
-x <addr> [n]              hex dump data memory     pc <addr>  set the program counter
-bt | f <n>                backtrace / select frame
-regs | list | disas [a]   registers / annotated source / disassembly
-ps <code>                 run PostScript in the embedded interpreter
-detach | attach           park the target in the nub / reconnect
-reconnect                 replace a lost/faulty wire with a fresh one
-q                         quit"
-            );
-        }
-        "b" | "break" => {
-            let func = rest.first().ok_or("usage: b <func> [n] [if <expr>]")?;
-            // `b f 3 if i > 2` — everything after `if` is the condition.
-            let if_pos = rest.iter().position(|w| *w == "if");
-            let args = &rest[1..if_pos.unwrap_or(rest.len())];
-            let idx: usize = args.first().map(|s| s.parse()).transpose()?.unwrap_or(0);
-            let cond = if_pos.map(|p| rest[p + 1..].join(" "));
-            if cond.as_deref() == Some("") {
-                return Err("usage: b <func> [n] if <expr>".into());
-            }
-            let addr = ldb.break_at(func, idx)?;
-            match &cond {
-                Some(c) => println!("breakpoint at {addr:#x} ({func} stop {idx}) if {c}"),
-                None => println!("breakpoint at {addr:#x} ({func} stop {idx})"),
-            }
-            ldb.set_break_condition(addr, cond)?;
-        }
-        "bl" => {
-            let line: u32 = rest.first().ok_or("usage: bl <line>")?.parse()?;
-            let addr = ldb.break_at_line(line)?;
-            println!("breakpoint at {addr:#x} (line {line})");
-        }
-        "ba" => {
-            let a = rest.first().ok_or("usage: ba <hex-addr>")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            ldb.break_at_pc(addr)?;
-            println!("single-step breakpoint at {addr:#x}");
-        }
-        "d" | "delete" => {
-            let a = rest.first().ok_or("usage: d <hex-addr>")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            ldb.clear_breakpoint(addr)?;
-        }
-        "w" | "watch" => {
-            let name = rest.first().ok_or("usage: w <name>")?;
-            let val = ldb.watch_var(name)?;
-            println!("watching {name} (currently {val})");
-        }
-        "dw" => {
-            let name = rest.first().ok_or("usage: dw <name>")?;
-            ldb.clear_watch(name)?;
-        }
-        "info" if rest.first() == Some(&"ps") => {
-            let b = ldb.ps_budgets();
-            let s = ldb.interp.budget_stats();
-            println!(
-                "budgets: load {} steps / {} bytes; interactive {} steps / {} bytes",
-                b.load.max_fuel, b.load.max_alloc, b.interactive.max_fuel, b.interactive.max_alloc
-            );
-            println!(
-                "sandbox: {} steps spent, {} bytes charged ({} peak), {} budget trips",
-                s.fuel_spent_total, s.alloc_charged_total, s.alloc_peak, s.budget_trips
-            );
-            let q = ldb.quarantined_modules();
-            if q.is_empty() {
-                println!("quarantine: empty");
-            } else {
-                for (module, reason) in q {
-                    println!("quarantine: module {module}: {reason}");
-                }
-            }
-        }
-        "reload" => {
-            let rows = ldb.reload_modules()?;
-            if rows.is_empty() {
-                println!("nothing quarantined");
-            }
-            for (module, outcome) in rows {
-                match outcome {
-                    Ok(()) => println!("module {module}: reloaded"),
-                    Err(reason) => println!("module {module}: still quarantined: {reason}"),
-                }
-            }
-        }
-        "info" if rest.first() == Some(&"trace") => {
-            println!("{}", ldb_core::trace_report(ldb));
-            let tail = ldb.trace().tail(8);
-            if !tail.is_empty() {
-                println!("recent:");
-                for r in &tail {
-                    println!("  {}", r.to_json());
-                }
-            }
-            if ldb.trace().write_failed() {
-                println!("warning: journal write failed; records are missing from the file");
-            }
-        }
-        "info" if rest.first() == Some(&"health") => {
-            if rest.get(1) == Some(&"--json") {
-                println!("{}", ldb.health().to_json());
-            } else {
-                println!("{}", ldb.health());
-            }
-        }
-        "info" if rest.first() == Some(&"checkpoints") => {
-            let s = ldb.checkpoint_stats()?;
-            println!(
-                "checkpoints: {}/{} held, {} raw bytes ({} compressed)",
-                s.len, s.cap, s.raw, s.compressed
-            );
-            for (steps, raw, packed) in ldb.checkpoint_rows()? {
-                println!("  step {steps}: {raw} bytes ({packed} compressed)");
-            }
-        }
-        "info" if rest.first() == Some(&"wire") => {
-            let id = ldb.current().ok_or("no target")?;
-            let t = ldb.target(id);
-            let m = t.client.borrow().metrics();
-            println!(
-                "wire:  {} transactions, {} retransmits, {} bytes sent, {} bytes received",
-                m.transactions, m.retransmits, m.bytes_sent, m.bytes_received
-            );
-            match &t.cache {
-                Some(cache) => {
-                    let s = cache.stats();
-                    println!(
-                        "cache: {} hits, {} misses, {} line fills, {} lines invalidated, {} resident",
-                        s.hits, s.misses, s.fills, s.invalidated, cache.resident_lines()
-                    );
-                }
-                None => println!("cache: disabled (--no-wire-cache)"),
-            }
-        }
-        "info" => {
-            if let Some(id) = ldb.current() {
-                for a in ldb.target(id).breakpoints.addresses() {
-                    match ldb.target(id).conds.get(&a) {
-                        Some(cond) => println!("breakpoint at {a:#x} if {cond}"),
-                        None => println!("breakpoint at {a:#x}"),
-                    }
-                }
-            }
-            for (name, val) in ldb.watchpoints() {
-                println!("watchpoint on {name} (last {val})");
-            }
-            for (k, expr) in sess.displays.iter().enumerate() {
-                println!("display {k}: {expr}");
-            }
-        }
-        "c" | "cont" | "run" | "r" => {
-            let ev = ldb.cont_watch()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "n" | "next" => {
-            let ev = ldb.step_over()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "fin" | "finish" => {
-            let (ev, rv) = ldb.finish()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if let Some(rv) = rv {
-                println!("value returned: {rv}");
-            }
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "s" | "step" => {
-            let ev = ldb.step_insn()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "checkpoint" => {
-            let steps = ldb.checkpoint_now()?;
-            println!("checkpoint at step {steps}");
-        }
-        "rs" | "reverse-step" => {
-            report(ldb.reverse_step_insn()?);
-            show_displays(ldb, sess);
-        }
-        "rn" | "reverse-next" => {
-            report(ldb.reverse_next()?);
-            show_displays(ldb, sess);
-        }
-        "rc" | "reverse-continue" => {
-            report(ldb.reverse_cont()?);
-            show_displays(ldb, sess);
-        }
-        "display" => {
-            let expr = rest.join(" ");
-            if expr.is_empty() {
-                return Err("usage: display <expr>".into());
-            }
-            // Evaluate once now for immediate feedback; an expression
-            // that is not yet in scope still arms (it will print once
-            // the target reaches a scope where it evaluates).
-            match ldb.eval(&expr) {
-                Ok(v) => println!("{}: {expr} = {v}", sess.displays.len()),
-                Err(e) => println!("{}: {expr} = <{e}>", sess.displays.len()),
-            }
-            sess.displays.push(expr);
-        }
-        "undisplay" => {
-            let k: usize = rest.first().ok_or("usage: undisplay <n>")?.parse()?;
-            if k >= sess.displays.len() {
-                return Err(format!("no display {k}").into());
-            }
-            sess.displays.remove(k);
-        }
-        "x" | "examine" => {
-            // x <hex-addr> [n-bytes] — hex dump of target data memory.
-            let a = rest.first().ok_or("usage: x <hex-addr> [nbytes]")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            let n: u32 = rest.get(1).map(|s| s.parse()).transpose()?.unwrap_or(64);
-            let id = ldb.current().ok_or("no target")?;
-            let client = std::rc::Rc::clone(&ldb.target(id).client);
-            let mut client = client.borrow_mut();
-            for row in 0..n.div_ceil(16) {
-                let base = addr + row * 16;
-                let mut hex = String::new();
-                let mut ascii = String::new();
-                for b in 0..16.min(n - row * 16) {
-                    let byte = client.fetch('d', base + b, 1)? as u8;
-                    hex.push_str(&format!("{byte:02x} "));
-                    ascii.push(if byte.is_ascii_graphic() || byte == b' ' {
-                        byte as char
-                    } else {
-                        '.'
-                    });
-                }
-                println!("{base:#010x}  {hex:<48} {ascii}");
-            }
-        }
-        "pc" => {
-            // Redirect execution: `pc <hex-addr>` (repair-and-resume).
-            let a = rest.first().ok_or("usage: pc <hex-addr>")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            ldb.set_pc(addr)?;
-            println!("pc set to {addr:#x}");
-        }
-        "detach" => {
-            let handle = ldb
-                .detach_current()?
-                .ok_or("this target has no local nub handle (already taken)")?;
-            sess.parked = Some(handle);
-            println!("detached; program state preserved in the nub (reconnect with `attach`)");
-        }
-        "attach" => {
-            let handle = sess.parked.take().ok_or("nothing detached in this session")?;
-            let (frame_ps, modules) = c_plan(c);
-            let wire = handle.connect_channel()?;
-            match ldb.attach_plan(maybe_faulty(wire, &sess.fault, &sess.trace), &frame_ps, &modules, Some(handle))
-            {
-                Ok(_) => {
-                    warn_quarantined(ldb);
-                    println!("reattached; breakpoints recovered from the nub");
-                }
-                Err(e) => {
-                    // The handle went into the failed target; nothing to
-                    // re-park, but say so rather than dropping silently.
-                    return Err(format!("reattach failed: {e}").into());
-                }
-            }
-        }
-        "reconnect" => {
-            // Replace the current target's wire with a fresh one — the
-            // recovery move after a lost or fault-severed connection. The
-            // nub kept the target's state; planted breakpoints are
-            // re-learned from its plant records.
-            let id = ldb.current().ok_or("no target")?;
-            let wire = {
-                let t = ldb.target(id);
-                let handle = t
-                    .nub
-                    .as_ref()
-                    .ok_or("this target has no local nub handle to reconnect through")?;
-                handle.connect_channel()?
-            };
-            let ev = ldb.reconnect(id, maybe_faulty(wire, &sess.fault, &sess.trace))?;
-            report(ev);
-            println!("reconnected; breakpoints recovered from the nub");
-        }
-        "call" => {
-            // call f(expr, expr, ...) — each argument is evaluated by the
-            // expression server, so variables and arithmetic work.
-            let joined = rest.join(" ");
-            if !joined.contains('(') || !joined.trim_end().ends_with(')') {
-                return Err("usage: call <func>(<args>)".into());
-            }
-            // The library's expression evaluator handles the whole call
-            // (including float arguments and the return type recorded in
-            // the symbol table), so just hand it the text.
-            println!("{}", ldb.eval(&joined)?);
-        }
-        "p" | "print" => {
-            let name = rest.first().ok_or("usage: p <name>")?;
-            println!("{} = {}", name, ldb.print_var(name)?);
-        }
-        "e" | "eval" => {
-            let expr = rest.join(" ");
-            println!("{}", ldb.eval(&expr)?);
-        }
-        "bt" | "where" => {
-            let (rows, stop) = ldb.backtrace();
-            if rows.is_empty() {
-                println!("no stack");
-            }
-            for (lvl, name, pc, vfp) in rows {
-                println!("#{lvl}  {name}  pc={pc:#x}  frame={vfp:#x}");
-            }
-            if !stop.is_clean() {
-                println!("walk truncated: {stop}");
-            }
-        }
-        "f" | "frame" => {
-            let n: usize = rest.first().ok_or("usage: f <n>")?.parse()?;
-            ldb.select_frame(n)?;
-            println!("frame {n} selected");
-        }
-        "regs" => {
-            for (chunkno, chunk) in ldb.registers()?.chunks(4).enumerate() {
-                let _ = chunkno;
-                let row: Vec<String> =
-                    chunk.iter().map(|(n, v)| format!("{n:>5} = {v:08x}")).collect();
-                println!("  {}", row.join("   "));
-            }
-        }
-        "list" | "l" => {
-            let fib: Vec<&ldb_cc::ir::FuncIr> =
-                c.units.iter().flat_map(|(u, _)| u.funcs.iter()).collect();
-            for (lineno, line) in src.lines().enumerate() {
-                let lineno = lineno as u32 + 1;
-                let marks: Vec<String> = fib
-                    .iter()
-                    .flat_map(|f| f.stops.iter())
-                    .filter(|s| s.line == lineno)
-                    .map(|s| s.index.to_string())
-                    .collect();
-                let tag = if marks.is_empty() {
-                    String::new()
-                } else {
-                    format!("  % stops {}", marks.join(","))
-                };
-                println!("{lineno:>4}  {line}{tag}");
-            }
-        }
-        "disas" | "di" => {
-            let id = ldb.current().ok_or("no target")?;
-            let t = ldb.target(id);
-            let f = t.frames.get(t.cur_frame).ok_or("not stopped")?;
-            let pc = f.pc;
-            let n: u32 = rest.first().map(|s| s.parse()).transpose()?.unwrap_or(32);
-            // Disassemble forward from the pc: backing up is unreliable on
-            // the variable-length targets.
-            let start = pc;
-            let mut bytes = Vec::new();
-            for a in start..start + n {
-                bytes.push(t.client.borrow_mut().fetch('c', a, 1)? as u8);
-            }
-            let arch = t.arch;
-            let order = c.order;
-            for (addr, _, text) in ldb_machine::disas::disassemble(arch, order, &bytes, start) {
-                let mark = if addr == pc { "=>" } else { "  " };
-                println!("{mark} {addr:#07x}  {text}");
-            }
-        }
-        "ps" => {
-            let code = rest.join(" ");
-            match ldb.interp.run_str(&code) {
-                Ok(()) => {
-                    while ldb.interp.depth() > 0 {
-                        let o = ldb.interp.pop()?;
-                        println!("{}", o.to_syntactic());
-                    }
-                }
-                Err(e) => println!("postscript error: {e}"),
-            }
-        }
-        other => println!("unknown command `{other}` (q quits)"),
-    }
-    Ok(false)
+/// `detach`: park the target in its nub, state preserved.
+fn detach(ldb: &mut Ldb, parked: &mut Option<NubHandle>) -> CliResult {
+    let handle = ldb
+        .detach_current()?
+        .ok_or("this target has no local nub handle (already taken)")?;
+    *parked = Some(handle);
+    println!("detached; program state preserved in the nub (reconnect with `attach`)");
+    Ok(())
 }
 
-fn report(ev: StopEvent) {
-    match ev {
-        StopEvent::Paused => println!("paused before main"),
-        StopEvent::Attached => println!("attached"),
-        StopEvent::Breakpoint { func, line, addr } => {
-            println!("breakpoint in {func} at line {line} ({addr:#x})")
-        }
-        StopEvent::Stepped { func, line, addr } => {
-            println!("stepped: {func} line {line} ({addr:#x})")
-        }
-        StopEvent::Watchpoint { name, old, new, func, line, addr } => {
-            println!("watchpoint: {name} changed {old} -> {new} in {func} at line {line} ({addr:#x})");
-        }
-        StopEvent::Fault { sig, code } => println!("fault: {sig} (code {code:#x})"),
-        StopEvent::Exited(status) => println!("target exited with status {status}"),
+/// `attach`: reconnect to the parked target (the load plan is
+/// regenerated from the compiled program).
+fn reattach(
+    ldb: &mut Ldb,
+    parked: &mut Option<NubHandle>,
+    c: &CompiledProgram,
+    fault: &Option<FaultConfig>,
+) -> CliResult {
+    let handle = parked.take().ok_or("nothing detached in this session")?;
+    let (frame_ps, modules) = c_plan(c);
+    let wire = handle.connect_channel()?;
+    // On failure the handle went into the failed target; nothing to
+    // re-park, but say so rather than dropping silently.
+    attach(ldb, Box::new(wire), &frame_ps, &modules, handle, fault)
+        .map_err(|e| format!("reattach failed: {e}"))?;
+    warn_quarantined(ldb);
+    println!("reattached; breakpoints recovered from the nub");
+    Ok(())
+}
+
+/// `reconnect`: replace the current target's wire with a fresh one — the
+/// recovery move after a lost or fault-severed connection. The nub kept
+/// the target's state; planted breakpoints are re-learned from its plant
+/// records.
+fn reconnect(ldb: &mut Ldb) -> CliResult {
+    let id = ldb.current().ok_or("no target")?;
+    let wire = ldb
+        .target(id)
+        .nub
+        .as_ref()
+        .ok_or("this target has no local nub handle to reconnect through")?
+        .connect_channel()?;
+    let ev = ldb.reconnect(id, Box::new(wire))?;
+    println!("{}", ldb_core::script::report_stop(&ev));
+    println!("reconnected; breakpoints recovered from the nub");
+    Ok(())
+}
+
+/// `list`: the source, annotated with stopping points.
+fn list(c: &CompiledProgram, src: &str) -> CliResult {
+    let funcs: Vec<&ldb_cc::ir::FuncIr> =
+        c.units.iter().flat_map(|(u, _)| u.funcs.iter()).collect();
+    for (lineno, line) in src.lines().enumerate() {
+        let lineno = lineno as u32 + 1;
+        let marks: Vec<String> = funcs
+            .iter()
+            .flat_map(|f| f.stops.iter())
+            .filter(|s| s.line == lineno)
+            .map(|s| s.index.to_string())
+            .collect();
+        let tag =
+            if marks.is_empty() { String::new() } else { format!("  % stops {}", marks.join(",")) };
+        println!("{lineno:>4}  {line}{tag}");
     }
+    Ok(())
+}
+
+/// `disas [n]`: disassemble n bytes (default 32) forward from the pc —
+/// backing up is unreliable on the variable-length targets.
+fn disas(ldb: &Ldb, c: &CompiledProgram, n: Option<&str>) -> CliResult {
+    let id = ldb.current().ok_or("no target")?;
+    let t = ldb.target(id);
+    let pc = t.frames.get(t.cur_frame).ok_or("not stopped")?.pc;
+    let n: u32 = n.map(str::parse).transpose()?.unwrap_or(32);
+    let mut bytes = Vec::new();
+    for a in pc..pc + n {
+        bytes.push(t.client.borrow_mut().fetch('c', a, 1)? as u8);
+    }
+    for (addr, _, text) in ldb_machine::disas::disassemble(t.arch, c.order, &bytes, pc) {
+        let mark = if addr == pc { "=>" } else { "  " };
+        println!("{mark} {addr:#07x}  {text}");
+    }
+    Ok(())
 }

@@ -47,11 +47,11 @@ use std::time::{Duration, Instant};
 use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_cc::pssym::PsMode;
 use ldb_core::{
-    ChaosConfig, CloseReason, CompiledTable, ModuleCache, SessionBuilder, SessionConfig,
-    SessionError, SessionRegistry,
+    AttachOpts, ChaosConfig, CloseReason, CompiledTable, ModuleCache, SessionBuilder,
+    SessionConfig, SessionError, SessionRegistry, TableSource,
 };
 use ldb_machine::Arch;
-use ldb_nub::{spawn, ClientConfig, FaultConfig, FaultyWire, NubConfig, Wire};
+use ldb_nub::{spawn, ClientConfig, FaultConfig, NubConfig};
 use ldb_trace::{Layer, Severity, Trace};
 
 use crate::net::{BoundedLineReader, ConnLimits, ConnMetrics, LineOutcome, SweepTimer};
@@ -223,14 +223,6 @@ pub fn session_builder_with_cache(
         let wire = handle
             .connect_channel()
             .map_err(|e| ldb_core::LdbError::msg(format!("connect: {e}")))?;
-        let wire: Box<dyn Wire> = match fault {
-            Some(cfg) => {
-                let mut fw = FaultyWire::wrap(wire, cfg);
-                fw.set_trace(ldb.trace().clone());
-                Box::new(fw)
-            }
-            None => Box::new(wire),
-        };
         ldb.set_chaos(chaos);
         let client = ClientConfig {
             reply_timeout: Duration::from_secs(2),
@@ -239,7 +231,8 @@ pub fn session_builder_with_cache(
             event_poll: Duration::from_millis(100),
             jitter_seed,
         };
-        ldb.attach_compiled_with_config(wire, &frame, &modules, Some(handle), client)?;
+        let source = TableSource::Compiled { frame: &frame, modules: &modules };
+        ldb.attach(Box::new(wire), source, Some(handle), AttachOpts { client, fault })?;
         Ok(format!("{arch}"))
     })
 }

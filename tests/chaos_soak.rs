@@ -9,13 +9,11 @@
 //! every truncated backtrace carries a typed reason, and `info health`
 //! accounts for what the defensive layers absorbed.
 
-use std::time::Duration;
+mod common;
 
-use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts, CompiledProgram};
-use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{script, ChaosConfig, Ldb, ModuleTable};
+use ldb_suite::cc::driver::{compile_many, CompileOpts, CompiledProgram};
+use ldb_suite::core::{script, ChaosConfig, Ldb};
 use ldb_suite::machine::{Arch, ByteOrder};
-use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 
 const SRC: &str = r#"
 char msg[16] = "hi there";
@@ -57,16 +55,6 @@ c
 const SEEDS_PER_CONFIG: u64 = 40;
 const RATE: f64 = 0.05;
 
-fn quiet_client() -> ClientConfig {
-    ClientConfig {
-        reply_timeout: Duration::from_secs(2),
-        retries: 4,
-        backoff: Duration::from_millis(1),
-        event_poll: Duration::from_millis(300),
-        jitter_seed: 0,
-    }
-}
-
 fn compile_cfg(arch: Arch, order: Option<ByteOrder>) -> CompiledProgram {
     compile_many(&[("soak.c", SRC)], arch, CompileOpts { order, ..Default::default() })
         .unwrap_or_else(|e| panic!("{arch:?}: compile: {e}"))
@@ -75,15 +63,9 @@ fn compile_cfg(arch: Arch, order: Option<ByteOrder>) -> CompiledProgram {
 /// One hostile session: attach with the chaos layer armed, run the
 /// script, and return (transcript, the session's health counters).
 fn run_chaos_session(name: &str, p: &CompiledProgram, seed: u64) -> (String, ldb_suite::core::Health) {
-    let (frame_ps, modules) = program_load_plan(p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(n, ps)| ModuleTable { name: n, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let mut ldb = Ldb::new();
     ldb.set_chaos(Some(ChaosConfig { seed, rate: RATE, window: None }));
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap_or_else(|e| panic!("{name} seed {seed}: attach: {e}"));
+    common::attach_quiet(&mut ldb, p).unwrap_or_else(|e| panic!("{name} seed {seed}: attach: {e}"));
     let transcript = script::run_script(&mut ldb, SCRIPT);
     (transcript, ldb.health())
 }
@@ -178,16 +160,10 @@ fn chaos_is_deterministic_per_seed() {
 fn run_rewind_session(name: &str, p: &CompiledProgram, seed: u64) -> (String, ldb_suite::core::Health) {
     use ldb_suite::core::script::report_stop;
 
-    let (frame_ps, modules) = program_load_plan(p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(n, ps)| ModuleTable { name: n, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let mut ldb = Ldb::new();
     ldb.set_chaos(Some(ChaosConfig { seed, rate: RATE, window: None }));
     ldb.set_checkpoint_every(Some(50));
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap_or_else(|e| panic!("{name} seed {seed}: attach: {e}"));
+    common::attach_quiet(&mut ldb, p).unwrap_or_else(|e| panic!("{name} seed {seed}: attach: {e}"));
     let mut log = String::new();
     let mut put = |line: String| {
         log.push_str(&line);
@@ -254,14 +230,8 @@ fn chaos_rewinds_are_deterministic_and_exact() {
 #[test]
 fn panicking_command_is_quarantined_and_session_recovers() {
     let p = compile_cfg(Arch::M68k, None);
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(n, ps)| ModuleTable { name: n, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let mut ldb = Ldb::new();
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap();
+    common::attach_quiet(&mut ldb, &p).unwrap();
     ldb.interp.register("BOOM", |_| panic!("deliberate test panic"));
     let before = script::run_script(&mut ldb, "b clamp\nc\np calls");
     assert!(before.contains("calls = "), "{before}");

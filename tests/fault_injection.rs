@@ -9,7 +9,7 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Ldb, LdbError, StopEvent};
+use ldb_suite::core::{AttachOpts, Ldb, LdbError, StopEvent, TableSource};
 use ldb_suite::machine::Arch;
 use ldb_suite::nub::{spawn, ClientConfig, FaultConfig, FaultStats, FaultyWire, NubConfig};
 use ldb_suite::trace::{validate, Layer, Record, Trace, TraceConfig, Value};
@@ -56,15 +56,17 @@ fn trajectory(start: i64) -> Vec<i64> {
 
 /// Resilience policy for lossy wires: short attempt timeouts and a deep
 /// retry budget, so a dropped frame costs milliseconds instead of the
-/// interactive-scale defaults.
-fn lossy_client() -> ClientConfig {
-    ClientConfig {
+/// interactive-scale defaults. The tests wrap their own fault injectors
+/// (they read the injectors' counters), so none is set here.
+fn lossy() -> AttachOpts {
+    let client = ClientConfig {
         reply_timeout: Duration::from_millis(25),
         retries: 12,
         backoff: Duration::from_millis(1),
         event_poll: Duration::from_millis(5),
         jitter_seed: 0,
-    }
+    };
+    AttachOpts { client, fault: None }
 }
 
 /// Compile the marathon program for `arch`, spawn a nub, and attach a
@@ -79,7 +81,7 @@ fn attach_faulty(arch: Arch, start: i64, spec: &str) -> Ldb {
     let wire = handle.connect_channel().unwrap();
     let faulty = FaultyWire::wrap(wire, FaultConfig::parse(spec).unwrap());
     let mut ldb = Ldb::new();
-    ldb.attach_with_config(Box::new(faulty), &loader, Some(handle), lossy_client())
+    ldb.attach(Box::new(faulty), TableSource::Whole(&loader), Some(handle), lossy())
         .unwrap_or_else(|e| panic!("{arch}: attach over faulty wire: {e}"));
     ldb.break_at("collatz", 3).unwrap_or_else(|e| panic!("{arch}: {e}"));
     ldb
@@ -285,7 +287,7 @@ fn journal_cross_checks_wire_metrics_and_fault_stats() {
 
     let mut ldb = Ldb::new();
     ldb.set_trace(trace.clone());
-    ldb.attach_with_config(Box::new(faulty), &loader, Some(handle), lossy_client()).unwrap();
+    ldb.attach(Box::new(faulty), TableSource::Whole(&loader), Some(handle), lossy()).unwrap();
     ldb.break_at("collatz", 3).unwrap();
     ldb.registers().unwrap(); // register snapshot for the degraded window
 
@@ -431,7 +433,7 @@ fn debugger_crash_reattach_recovers_plants() {
 
         // First debugger: plant, advance five hits, then "crash".
         let mut ldb1 = Ldb::new();
-        ldb1.attach(Box::new(handle.connect_channel().unwrap()), &loader, None).unwrap();
+        ldb1.attach(Box::new(handle.connect_channel().unwrap()), TableSource::Whole(&loader), None, AttachOpts::default()).unwrap();
         let addr = ldb1.break_at("collatz", 3).unwrap();
         for k in 0..5 {
             let ev = ldb1.cont().unwrap();
@@ -441,7 +443,7 @@ fn debugger_crash_reattach_recovers_plants() {
 
         // Second debugger: fresh session, fresh wire, same nub.
         let mut ldb2 = Ldb::new();
-        ldb2.attach(Box::new(handle.connect_channel().unwrap()), &loader, None)
+        ldb2.attach(Box::new(handle.connect_channel().unwrap()), TableSource::Whole(&loader), None, AttachOpts::default())
             .unwrap_or_else(|e| panic!("{arch}: reattach: {e}"));
         let t = ldb2.target(0);
         assert!(t.breakpoints.is_planted(addr), "{arch}: plant not recovered");

@@ -18,13 +18,11 @@
 //! session: the client config uses a long reply timeout (no retransmits
 //! on an in-process channel) and a long event poll (no keepalive pings).
 
-use std::time::Duration;
+mod common;
 
-use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts};
-use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{script, Ldb, ModuleTable};
+use ldb_suite::cc::driver::{compile_many, CompileOpts};
+use ldb_suite::core::{script, Ldb};
 use ldb_suite::machine::{Arch, ByteOrder};
-use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 use ldb_suite::trace::{validate, Layer, Trace, TraceConfig};
 
 const LIB_C: &str = r#"
@@ -85,24 +83,6 @@ const CONFIGS: &[(&str, Arch, Option<ByteOrder>)] = &[
     ("vax", Arch::Vax, None),
 ];
 
-/// No-surprises wire policy: an in-process channel answers in
-/// microseconds, so a long reply timeout means retransmission never
-/// fires, and an event poll far above any simulated run time means the
-/// keepalive ping fires exactly once per session — at attach, where the
-/// nub's initial bare (legacy) announcement forces one poll timeout
-/// before the ping upgrades the peer to envelopes. Every later stop
-/// arrives in well under the poll, so the journal carries only traffic
-/// the session itself caused, every run, on every machine.
-fn quiet_client() -> ClientConfig {
-    ClientConfig {
-        reply_timeout: Duration::from_secs(2),
-        retries: 4,
-        backoff: Duration::from_millis(1),
-        event_poll: Duration::from_millis(300),
-        jitter_seed: 0,
-    }
-}
-
 /// Run the canonical session once; return (transcript, journal).
 fn run_session(name: &str, arch: Arch, order: Option<ByteOrder>) -> (String, String) {
     let p = compile_many(
@@ -111,19 +91,13 @@ fn run_session(name: &str, arch: Arch, order: Option<ByteOrder>) -> (String, Str
         CompileOpts { order, ..Default::default() },
     )
     .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
 
     // Logical clock (no `t` field): timestamps are the one thing two
     // identical runs cannot reproduce.
     let (trace, journal) = Trace::to_shared_buffer(TraceConfig::default());
     let mut ldb = Ldb::new();
     ldb.set_trace(trace.clone());
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap_or_else(|e| panic!("{name}: attach: {e}"));
+    common::attach_quiet(&mut ldb, &p).unwrap_or_else(|e| panic!("{name}: attach: {e}"));
     let transcript = script::run_script(&mut ldb, SCRIPT);
 
     // Journal-vs-metrics cross-check: every wire transaction the client

@@ -10,14 +10,13 @@
 //! Rewinding past the oldest reachable checkpoint must be a typed
 //! `reverse truncated: …` error, never a panic and never a wrong state.
 
-use std::cell::RefCell;
-use std::time::Duration;
+mod common;
 
-use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts, CompiledProgram};
-use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
+use std::cell::RefCell;
+
+use ldb_suite::cc::driver::{compile_many, CompileOpts, CompiledProgram};
+use ldb_suite::core::{Ldb, StopEvent};
 use ldb_suite::machine::{Arch, ByteOrder};
-use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 use proptest::prelude::*;
 
 /// A loop of calls with data traffic in both directions: enough control
@@ -49,16 +48,6 @@ const CONFIGS: &[(&str, Arch, Option<ByteOrder>)] = &[
     ("m68k", Arch::M68k, None),
     ("vax", Arch::Vax, None),
 ];
-
-fn quiet_client() -> ClientConfig {
-    ClientConfig {
-        reply_timeout: Duration::from_secs(2),
-        retries: 4,
-        backoff: Duration::from_millis(1),
-        event_poll: Duration::from_millis(300),
-        jitter_seed: 0,
-    }
-}
 
 /// One compile per configuration per thread — the compiler is
 /// deterministic, so every session sees the same image. (A process-wide
@@ -94,14 +83,8 @@ fn session(idx: usize) -> Ldb {
 }
 
 fn attach(idx: usize, p: &CompiledProgram) -> Ldb {
-    let (frame_ps, modules) = program_load_plan(p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(n, ps)| ModuleTable { name: n, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let mut ldb = Ldb::new();
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap_or_else(|e| panic!("{}: attach: {e}", CONFIGS[idx].0));
+    common::attach_quiet(&mut ldb, p).unwrap_or_else(|e| panic!("{}: attach: {e}", CONFIGS[idx].0));
     ldb
 }
 

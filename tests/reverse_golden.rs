@@ -8,13 +8,11 @@
 //! `REVERSE_BLESS=1 cargo test --test reverse_golden` when a change is
 //! intended.
 
-use std::time::Duration;
+mod common;
 
-use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts};
-use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{script, Ldb, ModuleTable};
+use ldb_suite::cc::driver::{compile_many, CompileOpts};
+use ldb_suite::core::{script, Ldb};
 use ldb_suite::machine::{Arch, ByteOrder};
-use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 
 const SRC: &str = r#"
 char msg[16] = "hi there";
@@ -68,30 +66,14 @@ const CONFIGS: &[(&str, Arch, Option<ByteOrder>)] = &[
     ("vax", Arch::Vax, None),
 ];
 
-fn quiet_client() -> ClientConfig {
-    ClientConfig {
-        reply_timeout: Duration::from_secs(2),
-        retries: 4,
-        backoff: Duration::from_millis(1),
-        event_poll: Duration::from_millis(300),
-        jitter_seed: 0,
-    }
-}
-
 fn run_session(name: &str, arch: Arch, order: Option<ByteOrder>) -> String {
     let p = compile_many(&[("rev.c", SRC)], arch, CompileOpts { order, ..Default::default() })
         .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(n, ps)| ModuleTable { name: n, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let mut ldb = Ldb::new();
     // Periodic checkpoints on the continue path, dense enough that every
     // reverse command in the script has a nearby anchor.
     ldb.set_checkpoint_every(Some(64));
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap_or_else(|e| panic!("{name}: attach: {e}"));
+    common::attach_quiet(&mut ldb, &p).unwrap_or_else(|e| panic!("{name}: attach: {e}"));
     script::run_script(&mut ldb, SCRIPT)
 }
 

@@ -3,13 +3,11 @@
 //! transcript carries a typed error line, the health report books the
 //! quarantine, and the flight recorder journals the panic.
 
-use std::time::Duration;
+mod common;
 
-use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts};
-use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{script, Ldb, ModuleTable};
+use ldb_suite::cc::driver::{compile_many, CompileOpts};
+use ldb_suite::core::{script, Ldb};
 use ldb_suite::machine::Arch;
-use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 use ldb_suite::trace::{Trace, TraceConfig};
 
 const SRC: &str = r#"
@@ -29,31 +27,15 @@ int main(void) {
 }
 "#;
 
-fn quiet_client() -> ClientConfig {
-    ClientConfig {
-        reply_timeout: Duration::from_secs(2),
-        retries: 4,
-        backoff: Duration::from_millis(1),
-        event_poll: Duration::from_millis(300),
-        jitter_seed: 0,
-    }
-}
-
 /// Build an attached session for `arch`, with an optional shared trace.
 fn attached_session(arch: Arch, trace: Option<Trace>) -> Ldb {
     let p = compile_many(&[("rec.c", SRC)], arch, CompileOpts::default())
         .unwrap_or_else(|e| panic!("{arch:?}: compile: {e}"));
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(n, ps)| ModuleTable { name: n, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let mut ldb = Ldb::new();
     if let Some(t) = trace {
         ldb.set_trace(t);
     }
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), quiet_client())
-        .unwrap_or_else(|e| panic!("{arch:?}: attach: {e}"));
+    common::attach_quiet(&mut ldb, &p).unwrap_or_else(|e| panic!("{arch:?}: attach: {e}"));
     ldb
 }
 
@@ -143,4 +125,23 @@ fn panic_recovery_is_journaled() {
     // quarantined one: the journal cross-checks the transcript.
     assert_eq!(cmd_records, script::command_count(script_text), "\n{journal}");
     assert_eq!(panic_records, 1, "\n{journal}");
+}
+
+/// Raw PostScript from `ps` runs under the interactive budget, like
+/// printers and `e`: a runaway loop becomes a typed `timeout` error line
+/// once the interactive fuel is spent, and the session stays usable.
+#[test]
+fn runaway_ps_dies_on_the_interactive_budget() {
+    let mut ldb = attached_session(Arch::Mips, None);
+    let transcript = script::run_script(&mut ldb, "b clamp\nc\nps {} loop\np calls\nps 1 2 add\n");
+    let fuel = ldb.ps_budgets().interactive.max_fuel;
+    assert!(
+        transcript.contains(&format!(
+            "(ldb) ps {{}} loop\nerror: timeout: execution fuel exhausted ({fuel} steps)\n"
+        )),
+        "\n{transcript}"
+    );
+    assert!(transcript.contains("(ldb) p calls\ncalls = 0\n"), "\n{transcript}");
+    assert!(transcript.ends_with("(ldb) ps 1 2 add\n3\n"), "\n{transcript}");
+    assert_eq!(ldb.interp.budget_stats().budget_trips, 1);
 }

@@ -6,13 +6,13 @@
 //! unknown or duplicate keys, and structurally illegal values are
 //! rejected, so a replay tool can trust what it accepts.
 
-use std::time::Duration;
+mod common;
 
 use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_suite::cc::pssym::PsMode;
 use ldb_suite::core::{script, Ldb, ModuleTable};
 use ldb_suite::machine::Arch;
-use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
+use ldb_suite::nub::{spawn, NubConfig};
 use ldb_suite::trace::{validate, Layer, Severity, Trace, TraceConfig};
 
 const SRC: &str = r#"
@@ -33,26 +33,10 @@ int main(void) {
 fn record_session(arch: Arch) -> String {
     let p = compile_many(&[("t.c", SRC)], arch, CompileOpts::default())
         .unwrap_or_else(|e| panic!("{arch}: compile: {e}"));
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let modules: Vec<ModuleTable> =
-        modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
-    let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-    let wire = handle.connect_channel().unwrap();
     let (trace, journal) = Trace::to_shared_buffer(TraceConfig::default());
     let mut ldb = Ldb::new();
     ldb.set_trace(trace.clone());
-    // Long reply timeout: no retransmits on an in-process channel. The
-    // 300ms event poll is hit exactly once, at attach (the nub's initial
-    // bare announcement), keeping the journal timing-independent.
-    let cfg = ClientConfig {
-        reply_timeout: Duration::from_secs(2),
-        retries: 4,
-        backoff: Duration::from_millis(1),
-        event_poll: Duration::from_millis(300),
-        jitter_seed: 0,
-    };
-    ldb.attach_plan_with_config(Box::new(wire), &frame_ps, &modules, Some(handle), cfg)
-        .unwrap_or_else(|e| panic!("{arch}: attach: {e}"));
+    common::attach_quiet(&mut ldb, &p).unwrap_or_else(|e| panic!("{arch}: attach: {e}"));
     script::run_script(&mut ldb, "b square\nc\np n\nbt\ns\nc\n");
     trace.flush();
     journal.text()

@@ -7,9 +7,9 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{AbstractMemory, Ldb, StopEvent};
+use ldb_suite::core::{AbstractMemory, AttachOpts, Ldb, StopEvent, TableSource};
 use ldb_suite::machine::{Arch, ByteOrder};
-use ldb_suite::nub::{spawn, ClientConfig, FaultConfig, FaultyWire, NubConfig, NubError};
+use ldb_suite::nub::{spawn, ClientConfig, FaultConfig, NubConfig, NubError};
 use std::time::Duration;
 
 const FIB: &str = r#"
@@ -176,10 +176,10 @@ fn attach_faulty(arch: Arch, opts: CompileOpts, start: i64, spec: &str, cache: b
     let loader = nm::loader_table_for(&c.linked.image, &symtab);
     let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
     let wire = handle.connect_channel().unwrap();
-    let faulty = FaultyWire::wrap(wire, FaultConfig::parse(spec).unwrap());
     let mut ldb = Ldb::new();
     ldb.set_wire_cache(cache);
-    ldb.attach_with_config(Box::new(faulty), &loader, Some(handle), lossy_client())
+    let opts = AttachOpts { client: lossy_client(), fault: Some(FaultConfig::parse(spec).unwrap()) };
+    ldb.attach(Box::new(wire), TableSource::Whole(&loader), Some(handle), opts)
         .unwrap_or_else(|e| panic!("{arch}: attach over faulty wire: {e}"));
     ldb.break_at("collatz", 3).unwrap_or_else(|e| panic!("{arch}: {e}"));
     ldb
@@ -257,7 +257,7 @@ int main(void) {
 fn deep_inspection(handle_wire: Box<dyn ldb_suite::nub::Wire>, loader: &str, cache: bool) -> u64 {
     let mut ldb = Ldb::new();
     ldb.set_wire_cache(cache);
-    ldb.attach(handle_wire, loader, None).unwrap();
+    ldb.attach(handle_wire, TableSource::Whole(loader), None, AttachOpts::default()).unwrap();
     let (bt, _) = ldb.backtrace();
     assert!(bt.len() >= 20, "cache={cache}: only {} frames", bt.len());
     for _ in 0..2 {
@@ -284,7 +284,7 @@ fn cache_cuts_wire_transactions_five_fold() {
     let loader = nm::loader_table_for(&c.linked.image, &symtab);
     let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
     let mut driver = Ldb::new();
-    driver.attach(Box::new(handle.connect_channel().unwrap()), &loader, None).unwrap();
+    driver.attach(Box::new(handle.connect_channel().unwrap()), TableSource::Whole(&loader), None, AttachOpts::default()).unwrap();
     driver.break_at("report", 0).unwrap();
     let ev = driver.cont().unwrap();
     assert!(matches!(ev, StopEvent::Breakpoint { .. }), "{ev:?}");
