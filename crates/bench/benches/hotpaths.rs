@@ -349,7 +349,7 @@ fn trace_overhead(c: &mut Criterion) {
 
 fn symtab_compile(c: &mut Criterion) {
     use ldb_cc::driver::{compile_many, program_load_plan};
-    use ldb_core::{CompiledTable, ModuleCache, ModuleTable, TableSource};
+    use ldb_core::{ModuleCache, ModuleTable};
     use ldb_postscript::compile_module;
 
     let mut g = c.benchmark_group("symtab_compile");
@@ -361,35 +361,23 @@ fn symtab_compile(c: &mut Criterion) {
     let module_ps = modules[0].1.as_str();
     g.throughput(Throughput::Bytes(module_ps.len() as u64));
 
-    // The one-time cost a daemon's first tenant pays into the shared
-    // cache: scan + compile a 200-function module table to bytecode.
+    // The one-time cost a process's (or daemon's) first attach pays into
+    // the cache: scan + compile a 200-function module table to bytecode.
     g.bench_function("compile_module_200fn", |b| {
-        b.iter(|| compile_module(module_ps).unwrap())
+        b.iter(|| compile_module("synth.c", module_ps).unwrap())
     });
-    // The steady-state cost every later same-binary tenant pays: a hash
-    // of the source and an `Arc` clone out of the cache.
+    // The steady-state cost every later attach of the same binary pays:
+    // a hash of the source and an `Arc` clone out of the cache.
     g.bench_function("cache_hit_200fn", |b| {
         let cache = ModuleCache::new();
-        cache.get_or_compile(module_ps).unwrap();
-        b.iter(|| cache.get_or_compile(module_ps).unwrap())
+        cache.get_or_compile("synth.c", module_ps).unwrap();
+        b.iter(|| cache.get_or_compile("synth.c", module_ps).unwrap())
     });
 
-    // The whole connect, eager plan vs compiled lazy (headers only) —
-    // the ≥5x big-unit connect claim pinned in EXPERIMENTS.md.
-    let tables: Vec<ModuleTable> = modules
-        .iter()
-        .cloned()
-        .map(|(name, ps)| ModuleTable { name, ps })
-        .collect();
-    let cache = ModuleCache::new();
-    let frame = cache.get_or_compile(&frame_ps).unwrap().0;
-    let compiled: Vec<CompiledTable> = modules
-        .iter()
-        .map(|(name, ps)| CompiledTable {
-            name: name.clone(),
-            module: cache.get_or_compile(ps).unwrap().0,
-        })
-        .collect();
+    // The whole connect, cold cache (compile every table) vs warm cache
+    // (hits only): both load lazily, so neither runs the module table.
+    let tables: Vec<ModuleTable> =
+        modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
     let spawn_wire = || {
         let handle = ldb_nub::spawn(
             &p.linked.image,
@@ -407,22 +395,15 @@ fn symtab_compile(c: &mut Criterion) {
         },
         fault: None,
     };
-    g.bench_function("connect_eager_200fn", |b| {
-        b.iter(|| {
-            let mut ldb = Ldb::new();
-            let (wire, handle) = spawn_wire();
-            ldb.attach(wire, TableSource::Plan { frame: &frame_ps, modules: &tables }, Some(handle), tight())
-                .unwrap()
-        })
-    });
-    g.bench_function("connect_lazy_200fn", |b| {
-        b.iter(|| {
-            let mut ldb = Ldb::new();
-            let (wire, handle) = spawn_wire();
-            ldb.attach(wire, TableSource::Compiled { frame: &frame, modules: &compiled }, Some(handle), tight())
-                .unwrap()
-        })
-    });
+    let connect = |cache: &ModuleCache| {
+        let mut ldb = Ldb::new();
+        let (wire, handle) = spawn_wire();
+        ldb.attach(wire, &frame_ps, &tables, cache, Some(handle), tight()).unwrap()
+    };
+    g.bench_function("connect_cold_cache_200fn", |b| b.iter(|| connect(&ModuleCache::new())));
+    let warm = ModuleCache::new();
+    connect(&warm);
+    g.bench_function("connect_warm_cache_200fn", |b| b.iter(|| connect(&warm)));
     g.finish();
 }
 

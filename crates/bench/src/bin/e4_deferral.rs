@@ -15,7 +15,10 @@ fn read_time(loader_ps: &str, reps: u32) -> f64 {
     for _ in 0..reps {
         let mut ldb = ldb_core::Ldb::new();
         let t = Instant::now();
-        let loader = ldb_core::Loader::load(&mut ldb.interp, loader_ps, ldb_postscript::Budget::LOAD).unwrap();
+        // A whole loader table is a frame with no separate modules; a
+        // fresh cache makes every read scan and compile it.
+        let (cache, budget) = (ldb_core::ModuleCache::new(), ldb_postscript::Budget::LOAD);
+        let loader = ldb_core::Loader::load_plan_compiled(&mut ldb.interp, loader_ps, &[], &cache, budget).unwrap();
         total += t.elapsed().as_secs_f64();
         std::hint::black_box(loader.proctable.len());
     }

@@ -21,7 +21,7 @@ use crate::amemory::{CachedMemory, JoinedMemory, MemRef, WireMemory};
 use crate::breakpoint::Breakpoints;
 use crate::chaos::{ChaosConfig, ChaosMemory};
 use crate::frame::{frame_walker, walk_stack, Frame, WalkCtx, WalkStop};
-use crate::loader::{CompiledTable, Loader, ModuleTable};
+use crate::loader::{shared_module_cache, Loader, ModuleTable};
 use crate::psops::{make_arch_dict, make_debug_dict, CtxRef, EvalCtx, MemHandle};
 use crate::symtab;
 use crate::LdbError;
@@ -277,7 +277,7 @@ impl std::fmt::Debug for Target {
 /// and expression evaluation run under the tight `interactive` profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PsBudgets {
-    /// Budget for `Loader::load`/`Loader::load_plan` (per module).
+    /// Budget for symbol-table loading (the frame, and each module).
     pub load: Budget,
     /// Budget for printing and expression evaluation.
     pub interactive: Budget,
@@ -292,32 +292,6 @@ impl Default for PsBudgets {
 /// One row of a [`Ldb::reload_modules`] report: the module name and its
 /// outcome — `Ok(())` reloaded, `Err(reason)` still quarantined.
 pub type ReloadRow = (String, Result<(), String>);
-
-/// Where an attach gets its symbol tables from.
-pub enum TableSource<'a> {
-    /// One combined loader-table program (the classic path), run whole
-    /// under the load budget.
-    Whole(&'a str),
-    /// Trusted frame plus per-module tables, sandboxed individually and
-    /// loaded eagerly (see `Loader::load_plan`).
-    Plan {
-        /// Linker frame: anchor map and proctable, `/symtab null`.
-        frame: &'a str,
-        /// Per-module symbol tables.
-        modules: &'a [ModuleTable],
-    },
-    /// Trusted frame plus pre-compiled per-module tables; module bodies
-    /// run lazily on first demand (breakpoint, walk, or print). Compiled
-    /// tables are immutable and shareable, so N sessions attached to the
-    /// same binary can reuse one [`ldb_postscript::ModuleCache`] entry
-    /// per table (see `Loader::load_plan_compiled`).
-    Compiled {
-        /// Linker frame, precompiled: anchor map and proctable.
-        frame: &'a ldb_postscript::CompiledModule,
-        /// Per-module compiled symbol tables.
-        modules: &'a [CompiledTable],
-    },
-}
 
 /// How [`Ldb::attach`] talks to the nub.
 #[derive(Debug, Default)]
@@ -652,11 +626,8 @@ impl Ldb {
     // ----- targets -----
 
     /// Attach from a *load plan*: the trusted loader frame plus one
-    /// symbol table per module, each sandboxed under the load budget, with
-    /// the default nub client policy. Modules that fault, exhaust their
-    /// budget, or fail validation are quarantined (see
-    /// `Loader::load_plan`); the attach succeeds as long as at least one
-    /// module survives.
+    /// symbol table per module, compiled through the process-wide
+    /// [`shared_module_cache`], with the default nub client policy.
     ///
     /// # Errors
     /// As [`Ldb::attach`].
@@ -667,19 +638,26 @@ impl Ldb {
         modules: &[ModuleTable],
         nub: Option<NubHandle>,
     ) -> Result<usize, LdbError> {
-        let source = TableSource::Plan { frame: frame_ps, modules };
-        self.attach(wire, source, nub, AttachOpts::default())
+        self.attach(wire, frame_ps, modules, shared_module_cache(), nub, AttachOpts::default())
     }
 
     /// Attach over a wire: waits for the nub's initial stop notification,
-    /// then loads the symbol tables from `source`.
+    /// then loads the plan — `frame_ps` plus the per-module `modules`,
+    /// compiled through `cache` — lazily (see
+    /// [`Loader::load_plan_compiled`]): modules that fail to compile or
+    /// name the wrong architecture are quarantined now, the rest run on
+    /// first use, under the load budget, and quarantine then if they
+    /// fail. The attach succeeds as long as at least one module is
+    /// admitted.
     ///
     /// # Errors
     /// Nub and PostScript failures, or every module quarantined.
     pub fn attach(
         &mut self,
         wire: Box<dyn Wire>,
-        source: TableSource<'_>,
+        frame_ps: &str,
+        modules: &[ModuleTable],
+        cache: &ldb_postscript::ModuleCache,
         nub: Option<NubHandle>,
         opts: AttachOpts,
     ) -> Result<usize, LdbError> {
@@ -699,15 +677,13 @@ impl Ldb {
             Rc::new(std::cell::RefCell::new(ldb_postscript::Dict::new(256)));
         self.pop_target_dicts();
         self.interp.push_dict(Rc::clone(&unit_dict));
-        let loaded = match source {
-            TableSource::Whole(ps) => Loader::load(&mut self.interp, ps, self.budgets.load),
-            TableSource::Plan { frame, modules } => {
-                Loader::load_plan(&mut self.interp, frame, modules, self.budgets.load)
-            }
-            TableSource::Compiled { frame, modules } => {
-                Loader::load_plan_compiled(&mut self.interp, frame, modules, self.budgets.load)
-            }
-        };
+        let loaded = Loader::load_plan_compiled(
+            &mut self.interp,
+            frame_ps,
+            modules,
+            cache,
+            self.budgets.load,
+        );
         let _ = self.interp.pop_dict();
         let loader = Rc::new(loaded?);
         let arch = loader.arch;
@@ -775,7 +751,9 @@ impl Ldb {
     }
 
     /// Spawn a program under a fresh nub and attach to it — the "target
-    /// process forked as a child" connection mechanism.
+    /// process forked as a child" connection mechanism. `loader_ps` is a
+    /// whole loader table: a frame with no separate modules, compiled
+    /// through the [`shared_module_cache`].
     ///
     /// # Errors
     /// As [`Ldb::attach`].
@@ -788,7 +766,8 @@ impl Ldb {
         let wire = handle
             .connect_channel()
             .map_err(|e| LdbError::Nub(ldb_nub::NubError::Io(e)))?;
-        self.attach(Box::new(wire), TableSource::Whole(loader_ps), Some(handle), AttachOpts::default())
+        let cache = shared_module_cache();
+        self.attach(Box::new(wire), loader_ps, &[], cache, Some(handle), AttachOpts::default())
     }
 
     /// Wrap `wire` in a fault injector journaling into the session
@@ -922,10 +901,9 @@ impl Ldb {
     }
 
     /// Run every pending lazily-loaded symbol-table module of target
-    /// `id` (attached from [`TableSource::Compiled`]). Definitions land
-    /// in the target's unit dictionary under the same sandbox discipline
-    /// as at attach time; failures quarantine the module (visible in
-    /// `info modules`, recoverable via `reload`).
+    /// `id`. Definitions land in the target's unit dictionary under the
+    /// same sandbox discipline as at attach time; failures quarantine the
+    /// module (visible in `info ps`, recoverable via `reload`).
     fn force_all_pending(&mut self, id: usize) {
         let loader = Rc::clone(&self.targets[id].loader);
         if !loader.has_pending() {
@@ -956,13 +934,15 @@ impl Ldb {
     /// terminates, and the typed reason it stopped lands in
     /// [`Target::walk_stop`] for `bt` to render.
     fn after_stop(&mut self, id: usize) -> Result<(), LdbError> {
-        // Any stop past the startup pause / attach announcement is about
-        // to be walked and described, and both need symbol-table entries
-        // (frame metadata, procedure names) — so pending lazily-loaded
-        // modules must materialize before the walk. The initial pause
-        // stays lazy: that is what makes connect headers-only.
+        // Any stop past the startup pause is about to be walked and
+        // described, and both need symbol-table entries (frame metadata,
+        // procedure names) — so pending lazily-loaded modules must
+        // materialize before the walk. That includes an attach to a
+        // target already running or faulted, which may be anywhere. The
+        // startup pause stays lazy: that is what makes connect
+        // headers-only.
         if let Some(stop) = self.targets[id].stop {
-            if !matches!(stop.sig, Sig::Pause | Sig::Attach) {
+            if stop.sig != Sig::Pause {
                 self.force_all_pending(id);
             }
         }

@@ -50,15 +50,13 @@ pub use breakpoint::Breakpoints;
 pub use chaos::{ChaosConfig, ChaosMemory, ChaosStats};
 pub use checkpoint::{CheckpointStats, CheckpointStore};
 pub use debugger::{
-    AttachOpts, CallArg, CallReturn, Health, Ldb, PsBudgets, ReloadRow, StopEvent, TableSource, Target,
+    AttachOpts, CallArg, CallReturn, Health, Ldb, PsBudgets, ReloadRow, StopEvent, Target,
 };
 pub use event::{Events, Outcome};
 pub use frame::{walk_stack, Frame, FrameWalker, WalkCtx, WalkError, WalkGuard, WalkStop, WALK_DEPTH_CAP};
-pub use loader::{CompiledTable, FrameMeta, Loader, ModuleTable, Quarantined};
-// The compiled-module machinery sessions share across tenants; the stats
-// struct is renamed to dodge the amemory::CacheStats export above.
-pub use ldb_postscript::{compile_module, CompiledModule, ModuleCache};
-pub use ldb_postscript::CacheStats as ModuleCacheStats;
+pub use loader::{precompile_plan, shared_module_cache, FrameMeta, Loader, ModuleTable, Quarantined};
+// The compiled-module cache attaches compile their symbol tables through.
+pub use ldb_postscript::ModuleCache;
 pub use psops::{CtxRef, EvalCtx, MemHandle};
 pub use commands::{lookup, Command, COMMANDS};
 pub use script::{

@@ -11,10 +11,13 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ldb_machine::{Arch, Rpt};
-use ldb_postscript::{Budget, CompiledModule, Dict, DictRef, Interp, Object, PsResult, Scanner, Value};
+use ldb_postscript::{
+    compile_module, Budget, CompiledModule, Dict, DictRef, Interp, ModuleCache, Object, PsResult,
+    Value,
+};
 use ldb_trace::{Layer, Severity};
 
 use crate::amemory::MemRef;
@@ -45,7 +48,7 @@ fn trace_module(
 }
 
 /// One module's symbol-table PostScript, named for provenance and
-/// quarantine reports (see [`Loader::load_plan`]).
+/// quarantine reports (see [`Loader::load_plan_compiled`]).
 #[derive(Debug, Clone)]
 pub struct ModuleTable {
     /// The module (source file) name, e.g. `t2.c`.
@@ -54,30 +57,54 @@ pub struct ModuleTable {
     pub ps: String,
 }
 
-/// One module's symbol table in compiled form (see
-/// [`ldb_postscript::compile_module`]): the unit of the lazy load plan
-/// ([`Loader::load_plan_compiled`]) and of the cross-session module
-/// cache. The `Arc` is shared read-only — possibly with other sessions.
-#[derive(Debug, Clone)]
-pub struct CompiledTable {
-    /// The module (source file) name, e.g. `t2.c`.
-    pub name: String,
-    /// The compiled symbol table.
-    pub module: Arc<CompiledModule>,
+/// A module admitted at connect whose compiled table has not run yet.
+/// The `Arc` is shared read-only — possibly with other sessions.
+struct Pending {
+    name: String,
+    module: Arc<CompiledModule>,
 }
 
-/// A module whose symbol table was rejected by the sandbox: it faulted,
-/// exhausted its budget, or failed shape validation. The table text is
-/// kept so `reload` can retry it.
+/// A module whose symbol table was rejected by the sandbox: it failed to
+/// compile, faulted, exhausted its budget, or failed shape validation.
+/// The table is kept so `reload` can retry it.
 #[derive(Debug, Clone)]
 pub struct Quarantined {
     /// The module name.
     pub module: String,
     /// Why it was quarantined (the rendered error).
     pub reason: String,
-    /// The rejected PostScript, kept for retry.
-    ps: String,
+    /// The rejected table's compiled form, when it compiled.
+    compiled: Option<Arc<CompiledModule>>,
+    /// The rejected PostScript, recompiled on retry when it never compiled.
+    ps: Arc<str>,
 }
+
+/// The module cache behind every in-process attach that does not bring
+/// its own ([`crate::Ldb::attach_plan`], [`crate::Ldb::spawn_program`],
+/// the `ldb` CLI): attaching the same program twice in one process
+/// compiles its tables once. Daemons and fleets keep their own caches so
+/// their counters stay per service.
+pub fn shared_module_cache() -> &'static ModuleCache {
+    static SHARED: OnceLock<ModuleCache> = OnceLock::new();
+    SHARED.get_or_init(ModuleCache::new)
+}
+
+/// Compile a load plan's frame and module tables into `cache` ahead of
+/// any attach, so every later attach of the program only hits. A module
+/// that fails to compile is skipped here (attach quarantines it).
+///
+/// # Errors
+/// The frame fails to compile.
+pub fn precompile_plan(frame_ps: &str, modules: &[ModuleTable], cache: &ModuleCache) -> PsResult<()> {
+    cache.get_or_compile(FRAME, frame_ps)?;
+    for m in modules {
+        let _ = cache.get_or_compile(&m.name, &m.ps);
+    }
+    Ok(())
+}
+
+/// The provenance name of the linker frame.
+const FRAME: &str = "<loader frame>";
 
 /// Frame metadata for one procedure, as the stack walkers need it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,10 +138,10 @@ pub struct Loader {
     rpt: RefCell<Option<Rpt>>,
     /// Modules rejected by the sandbox, awaiting `reload`.
     quarantined: RefCell<Vec<Quarantined>>,
-    /// Compiled modules admitted at connect (headers type-checked) but
-    /// not yet executed: their debug info materializes on first touch
-    /// (see [`Loader::force_pending`]).
-    pending: RefCell<Vec<CompiledTable>>,
+    /// Modules admitted at connect (headers type-checked) but not yet
+    /// executed: their debug info materializes on first touch (see
+    /// [`Loader::force_pending`]).
+    pending: RefCell<Vec<Pending>>,
 }
 
 impl std::fmt::Debug for Loader {
@@ -124,116 +151,77 @@ impl std::fmt::Debug for Loader {
 }
 
 impl Loader {
-    /// Interpret loader-table PostScript and extract the pieces ldb
-    /// needs. The arch dictionary must already be on the dictionary stack
-    /// (symbol tables execute `Regset0` etc. while loading).
+    /// Load a program from a *plan*, lazily: the trusted loader frame
+    /// (anchor map and proctable from the linker) plus one symbol table
+    /// per module, every one compiled through `cache` (one compile per
+    /// distinct content, however many sessions attach). The frame runs
+    /// at once under `budget`; its `/symtab`, when not `null`, seeds the
+    /// program's symbol dictionary, so a classic whole loader table is a
+    /// frame with no modules. Module tables are only *admitted*: their
+    /// compile-time `/architecture` headers are type-checked, and
+    /// execution is deferred until the first breakpoint, stack walk, or
+    /// print touches debug info ([`Loader::force_pending`]).
     ///
-    /// The whole table runs under `budget` (normally [`Budget::LOAD`]):
-    /// an unbounded loop or allocation bomb in it surfaces as a `timeout`
-    /// or `vmerror` instead of hanging the debugger. For per-module fault
-    /// isolation use [`Loader::load_plan`].
-    ///
-    /// # Errors
-    /// PostScript errors (wrapped with byte-offset provenance) and
-    /// malformed tables.
-    pub fn load(interp: &mut Interp, loader_ps: &str, budget: Budget) -> PsResult<Loader> {
-        let table =
-            run_frame(interp, budget, |i| run_with_provenance(i, "<loader table>", loader_ps))?;
-        Loader::from_table(table, Vec::new())
-    }
-
-    /// Load a program from a *plan*: the trusted loader frame (anchor map
-    /// and proctable from the linker, `/symtab null`) plus one symbol
-    /// table per module. Each module runs under its own fresh `budget`;
-    /// a module that faults, runs out of fuel, or fails validation is
-    /// **quarantined** — recorded with its error and skipped — and the
-    /// healthy modules' tables are merged so debugging proceeds. The load
-    /// fails only when no module survives (the architecture would be
-    /// unknowable).
+    /// A module that fails to compile, or whose header is missing or
+    /// names the wrong architecture, is **quarantined** at once —
+    /// recorded with its error and skipped — and one that faults, runs
+    /// out of budget, or fails validation when forced is quarantined
+    /// then; the healthy modules' tables are merged so debugging
+    /// proceeds. The load fails only when no module is admitted (the
+    /// architecture would be unknowable).
     ///
     /// # Errors
-    /// Frame errors, or every module quarantined.
-    pub fn load_plan(
+    /// Frame errors, malformed frames, or every module quarantined at
+    /// admission.
+    pub fn load_plan_compiled(
         interp: &mut Interp,
         frame_ps: &str,
         modules: &[ModuleTable],
+        cache: &ModuleCache,
         budget: Budget,
     ) -> PsResult<Loader> {
-        let table =
-            run_frame(interp, budget, |i| run_with_provenance(i, "<loader frame>", frame_ps))?;
-        let top: DictRef = Rc::new(RefCell::new(Dict::new(64)));
-        let mut quarantined = Vec::new();
-        let mut arch: Option<Arch> = None;
-        for m in modules {
-            let admitted = run_module(interp, &m.name, &m.ps, budget)
-                .and_then(|unit| Ok((check_arch(unit_arch(&unit), arch)?, unit)));
-            match admitted {
-                Ok((a, unit)) => {
-                    arch = Some(a);
-                    trace_module(interp, "module_load", Severity::Info, &m.name, None);
-                    merge_unit_into(&top, &unit);
-                }
-                Err(reason) => {
-                    quarantine(interp, &mut quarantined, m.name.clone(), reason, m.ps.clone());
-                }
-            }
-        }
-        if arch.is_none() && !modules.is_empty() {
-            return Err(all_quarantined(modules.len(), &quarantined));
-        }
-        table.borrow_mut().put_name("symtab", Object::lit(Value::Dict(Rc::clone(&top))));
-        Loader::from_table(table, quarantined)
-    }
-
-    /// Load a program from a *compiled* plan, lazily: the trusted frame
-    /// runs eagerly (anchors and the proctable must exist to plant
-    /// breakpoints and walk stacks), but the per-module symbol tables are
-    /// only *admitted* — their compile-time `/architecture` headers are
-    /// type-checked, and execution is deferred until the first
-    /// breakpoint, stack walk, or print touches debug info
-    /// ([`Loader::force_pending`]). Connect therefore scans nothing at
-    /// all (the frame bytecode is shareable and cacheable like any
-    /// module's); a module whose header is missing or names the wrong
-    /// architecture is quarantined immediately, exactly as the eager
-    /// plan would have quarantined it after running.
-    ///
-    /// # Errors
-    /// Frame errors, or every module quarantined at admission.
-    pub fn load_plan_compiled(
-        interp: &mut Interp,
-        frame: &CompiledModule,
-        modules: &[CompiledTable],
-        budget: Budget,
-    ) -> PsResult<Loader> {
-        let table = run_frame(interp, budget, |i| frame.run_with_provenance(i, "<loader frame>"))?;
-        let top: DictRef = Rc::new(RefCell::new(Dict::new(64)));
+        let (frame, _hit) = cache.get_or_compile(FRAME, frame_ps)?;
+        let table = run_frame(interp, budget, &frame)?;
+        let seed = table.borrow().get_name("symtab").cloned();
+        let top: DictRef = match seed {
+            None => return Err(bad("loader table has no /symtab")),
+            Some(o) if matches!(o.val, Value::Null) => Rc::new(RefCell::new(Dict::new(64))),
+            Some(o) => o.as_dict()?,
+        };
         let mut quarantined = Vec::new();
         let mut pending = Vec::new();
-        let mut arch: Option<Arch> = None;
+        let mut arch = unit_arch(&top);
         for m in modules {
-            let admitted = match m.module.architecture() {
-                None => Err(format!("module {}: table has no /architecture", m.name)),
-                Some(a) => match Arch::from_name(a) {
-                    None => Err(format!("module {}: unknown architecture ({a})", m.name)),
-                    known => check_arch(known, arch),
+            let admitted = match cache.get_or_compile(&m.name, &m.ps) {
+                Err(e) => Err((e.to_string(), None)),
+                Ok((module, _hit)) => match admit(&m.name, &module, arch) {
+                    Ok(a) => Ok((a, module)),
+                    Err(reason) => Err((reason, Some(module))),
                 },
             };
             match admitted {
-                Ok(a) => {
+                Ok((a, module)) => {
                     arch = Some(a);
-                    pending.push(m.clone());
+                    pending.push(Pending { name: m.name.clone(), module });
                 }
-                Err(reason) => {
-                    let ps = m.module.source().to_string();
-                    quarantine(interp, &mut quarantined, m.name.clone(), reason, ps);
+                Err((reason, compiled)) => {
+                    let q = Quarantined {
+                        module: m.name.clone(),
+                        reason,
+                        compiled,
+                        ps: Arc::from(m.ps.as_str()),
+                    };
+                    quarantine(interp, &mut quarantined, q);
                 }
             }
         }
-        if arch.is_none() && !modules.is_empty() {
+        if pending.is_empty() && !modules.is_empty() {
             return Err(all_quarantined(modules.len(), &quarantined));
         }
         if let Some(a) = arch {
-            top.borrow_mut().put_name("architecture", Object::string(a.name()));
+            if top.borrow().get_name("architecture").is_none() {
+                top.borrow_mut().put_name("architecture", Object::string(a.name()));
+            }
         }
         table.borrow_mut().put_name("symtab", Object::lit(Value::Dict(Rc::clone(&top))));
         let loader = Loader::from_table(table, quarantined)?;
@@ -246,15 +234,15 @@ impl Loader {
         !self.pending.borrow().is_empty()
     }
 
-    /// Execute every still-pending compiled module under `budget`,
-    /// merging the healthy tables and quarantining the rest — the lazy
-    /// plan's deferred half of [`Loader::load_plan`]. Returns how many
-    /// modules loaded cleanly. Idempotent once the queue is drained.
+    /// Execute every still-pending module under `budget`, merging the
+    /// healthy tables and quarantining the rest — the deferred half of
+    /// [`Loader::load_plan_compiled`]. Returns how many modules loaded
+    /// cleanly. Idempotent once the queue is drained.
     pub fn force_pending(&self, interp: &mut Interp, budget: Budget) -> usize {
         let pending = std::mem::take(&mut *self.pending.borrow_mut());
         let mut loaded = 0;
-        for ct in pending {
-            if self.force_one(interp, budget, &ct) {
+        for p in pending {
+            if self.force_one(interp, budget, &p) {
                 loaded += 1;
             }
         }
@@ -286,18 +274,21 @@ impl Loader {
     }
 
     /// Run one admitted module and merge or quarantine it.
-    fn force_one(&self, interp: &mut Interp, budget: Budget, ct: &CompiledTable) -> bool {
-        match run_compiled_module(interp, &ct.name, &ct.module, budget)
-            .and_then(|unit| self.same_arch(unit))
-        {
+    fn force_one(&self, interp: &mut Interp, budget: Budget, p: &Pending) -> bool {
+        match run_module(interp, &p.name, &p.module, budget).and_then(|unit| self.same_arch(unit)) {
             Ok(unit) => {
-                trace_module(interp, "module_load", Severity::Info, &ct.name, None);
+                trace_module(interp, "module_load", Severity::Info, &p.name, None);
                 merge_unit_into(&self.top, &unit);
                 true
             }
             Err(reason) => {
-                let ps = ct.module.source().to_string();
-                quarantine(interp, &mut self.quarantined.borrow_mut(), ct.name.clone(), reason, ps);
+                let q = Quarantined {
+                    module: p.name.clone(),
+                    reason,
+                    compiled: Some(Arc::clone(&p.module)),
+                    ps: Arc::clone(p.module.source()),
+                };
+                quarantine(interp, &mut self.quarantined.borrow_mut(), q);
                 false
             }
         }
@@ -382,19 +373,28 @@ impl Loader {
     }
 
     /// Retry every quarantined module under `budget`, merging the tables
-    /// that now load cleanly. Returns one `(module, outcome)` row per
-    /// retried module; modules that fail again stay quarantined with the
-    /// fresh error.
+    /// that now load cleanly: a module that compiled re-runs its compiled
+    /// form, one that never compiled is compiled again first. Returns one
+    /// `(module, outcome)` row per retried module; modules that fail again
+    /// stay quarantined with the fresh error.
     pub fn reload_quarantined(
         &self,
         interp: &mut Interp,
         budget: Budget,
     ) -> Vec<(String, Result<(), String>)> {
-        let pending = std::mem::take(&mut *self.quarantined.borrow_mut());
+        let retry = std::mem::take(&mut *self.quarantined.borrow_mut());
         let mut out = Vec::new();
         let mut keep = Vec::new();
-        for q in pending {
-            match run_module(interp, &q.module, &q.ps, budget).and_then(|u| self.same_arch(u)) {
+        for mut q in retry {
+            let compiled = match &q.compiled {
+                Some(m) => Ok(Arc::clone(m)),
+                None => compile_module(&q.module, &q.ps).map(Arc::new).map_err(|e| e.to_string()),
+            };
+            let ran = compiled.and_then(|m| {
+                q.compiled = Some(Arc::clone(&m));
+                run_module(interp, &q.module, &m, budget).and_then(|u| self.same_arch(u))
+            });
+            match ran {
                 Ok(unit) => {
                     trace_module(interp, "module_reload", Severity::Info, &q.module, None);
                     merge_unit_into(&self.top, &unit);
@@ -402,7 +402,8 @@ impl Loader {
                 }
                 Err(reason) => {
                     out.push((q.module.clone(), Err(reason.clone())));
-                    quarantine(interp, &mut keep, q.module, reason, q.ps);
+                    q.reason = reason;
+                    quarantine(interp, &mut keep, q);
                 }
             }
         }
@@ -527,17 +528,11 @@ fn bad(msg: impl Into<String>) -> ldb_postscript::PsError {
     ldb_postscript::PsError::runtime(ldb_postscript::ErrorKind::HostError, msg)
 }
 
-/// Journal a module's quarantine and record it (with its table text, so
+/// Journal a module's quarantine and record it (with its table, so
 /// `reload` can retry it).
-fn quarantine(
-    interp: &Interp,
-    into: &mut Vec<Quarantined>,
-    module: String,
-    reason: String,
-    ps: String,
-) {
-    trace_module(interp, "quarantine", Severity::Warn, &module, Some(&reason));
-    into.push(Quarantined { module, reason, ps });
+fn quarantine(interp: &Interp, into: &mut Vec<Quarantined>, q: Quarantined) {
+    trace_module(interp, "quarantine", Severity::Warn, &q.module, Some(&q.reason));
+    into.push(q);
 }
 
 /// The load failure when no module survived.
@@ -559,54 +554,35 @@ fn check_arch(got: Option<Arch>, program: Option<Arch>) -> Result<Arch, String> 
     }
 }
 
+/// Admit a compiled module by its static `/architecture` header against
+/// the program's architecture (`None` until the first module is
+/// admitted); the admitted architecture, or why not.
+fn admit(name: &str, module: &CompiledModule, program: Option<Arch>) -> Result<Arch, String> {
+    match module.architecture() {
+        None => Err(format!("module {name}: table has no /architecture")),
+        Some(a) => match Arch::from_name(a) {
+            None => Err(format!("module {name}: unknown architecture ({a})")),
+            known => check_arch(known, program),
+        },
+    }
+}
+
 /// Run the trusted loader frame under `budget` and take the dictionary
 /// it leaves.
-fn run_frame(
-    interp: &mut Interp,
-    budget: Budget,
-    run: impl FnOnce(&mut Interp) -> PsResult<()>,
-) -> PsResult<DictRef> {
+fn run_frame(interp: &mut Interp, budget: Budget, frame: &CompiledModule) -> PsResult<DictRef> {
     let save = interp.push_budget(budget);
-    let r = run(interp);
+    let r = frame.run_with_provenance(interp, FRAME);
     interp.pop_budget(save);
     r?;
     interp.pop()?.as_dict()
 }
 
-/// Run `ps` token by token so errors carry the module name and the byte
-/// offset the scanner had reached when they were raised.
-fn run_with_provenance(interp: &mut Interp, name: &str, ps: &str) -> PsResult<()> {
-    let mut sc = Scanner::from_str(ps);
-    loop {
-        match sc.next_token() {
-            Ok(Some(tok)) => {
-                if let Err(e) = interp.run_token(&tok) {
-                    return Err(e.with_context(name, Some(sc.position())));
-                }
-            }
-            Ok(None) => return Ok(()),
-            Err(e) => return Err(e.with_context(name, Some(sc.position()))),
-        }
-    }
-}
-
-/// Run one module's symbol table under `budget`, fully sandboxed: on any
-/// failure the operand and dictionary stacks are restored, so a hostile
-/// table cannot leave junk behind or `end` the host's dictionaries away.
-/// The table must leave exactly one dictionary of the expected shape.
-fn run_module(interp: &mut Interp, name: &str, ps: &str, budget: Budget) -> Result<DictRef, String> {
-    let depth = interp.depth();
-    let dicts = interp.dict_stack_snapshot();
-    let save = interp.push_budget(budget);
-    let ran = run_with_provenance(interp, name, ps);
-    interp.pop_budget(save);
-    seal_module(interp, name, depth, dicts, ran)
-}
-
-/// As [`run_module`], executing a compiled module through the fast path.
-/// The sandbox is identical: same budget push, same depth watermark,
-/// same dictionary-stack snapshot/restore, same shape validation.
-fn run_compiled_module(
+/// Run one module's compiled symbol table under `budget`, fully
+/// sandboxed: on any failure the operand and dictionary stacks are
+/// restored, so a hostile table cannot leave junk behind or `end` the
+/// host's dictionaries away. The table must leave exactly one dictionary
+/// of the expected shape.
+fn run_module(
     interp: &mut Interp,
     name: &str,
     m: &CompiledModule,
@@ -617,19 +593,6 @@ fn run_compiled_module(
     let save = interp.push_budget(budget);
     let ran = m.run_with_provenance(interp, name);
     interp.pop_budget(save);
-    seal_module(interp, name, depth, dicts, ran)
-}
-
-/// The common back half of a sandboxed module run: check the run left
-/// exactly one value, validate its shape, and on any failure restore the
-/// operand and dictionary stacks to their watermarks.
-fn seal_module(
-    interp: &mut Interp,
-    name: &str,
-    depth: usize,
-    dicts: Vec<DictRef>,
-    ran: PsResult<()>,
-) -> Result<DictRef, String> {
     let r = ran.map_err(|e| e.to_string()).and_then(|()| {
         if interp.depth() != depth + 1 {
             return Err(format!(

@@ -54,8 +54,8 @@ use std::time::{Duration, Instant};
 use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_cc::pssym::PsMode;
 use ldb_core::{
-    AttachOpts, BatchOutcome, ChaosConfig, CloseReason, CompiledTable, Health, LdbError,
-    ModuleCache, Session, SessionBuilder, SessionConfig, SessionError, TableSource,
+    precompile_plan, AttachOpts, BatchOutcome, ChaosConfig, CloseReason, Health, LdbError,
+    ModuleCache, ModuleTable, Session, SessionBuilder, SessionConfig, SessionError,
 };
 use ldb_machine::{Arch, Image};
 use ldb_nub::{spawn, ClientConfig, FaultConfig, NubConfig};
@@ -289,23 +289,29 @@ pub fn default_workers() -> usize {
 }
 
 /// A compiled target shared by every session that debugs the same
-/// `(arch, source)` pair: the linked image plus the bytecode-compiled
-/// symbol tables. Compiling C and symbol tables is deterministic but not
-/// free; at 10k sessions over a handful of distinct programs it is the
+/// `(arch, source)` pair: the linked image plus the load plan, whose
+/// symbol tables are already compiled into the cache the sessions attach
+/// through. Compiling C and symbol tables is deterministic but not free;
+/// at 10k sessions over a handful of distinct programs it is the
 /// difference between seconds and minutes.
 pub struct PreparedTarget {
     /// The linked program.
     pub image: Image,
-    /// The compiled frame table (machine-dependent walker data).
-    pub frame: Arc<ldb_core::CompiledModule>,
-    /// The compiled per-module symbol tables.
-    pub tables: Vec<CompiledTable>,
+    /// The linker frame of the load plan.
+    pub frame: String,
+    /// The per-module symbol tables of the load plan.
+    pub tables: Vec<ModuleTable>,
+    /// The cache holding the compiled tables (a handle on the one
+    /// [`prepare_target`] was given).
+    pub cache: ModuleCache,
 }
 
-/// Compile `source` for `arch` once, interning symbol tables in `cache`.
+/// Compile `source` for `arch` once, and its symbol tables into `cache`,
+/// so every session attached to the target only hits the cache.
 ///
 /// # Errors
-/// Compiler or table-compile failures, as a message.
+/// Compiler or frame-compile failures, as a message. A module table that
+/// fails to compile is quarantined by each session's attach instead.
 pub fn prepare_target(
     arch: Arch,
     source: &str,
@@ -313,17 +319,11 @@ pub fn prepare_target(
 ) -> Result<PreparedTarget, String> {
     let p = compile_many(&[("target.c", source)], arch, CompileOpts::default())
         .map_err(|e| format!("compile: {e}"))?;
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let (frame, _hit) = cache.get_or_compile(&frame_ps).map_err(|e| format!("frame: {e}"))?;
-    let tables = modules
-        .into_iter()
-        .map(|(name, ps)| {
-            let (module, _hit) =
-                cache.get_or_compile(&ps).map_err(|e| format!("table `{name}`: {e}"))?;
-            Ok(CompiledTable { name, module })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(PreparedTarget { image: p.linked.image, frame, tables })
+    let (frame, modules) = program_load_plan(&p, PsMode::Deferred);
+    let tables: Vec<ModuleTable> =
+        modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
+    precompile_plan(&frame, &tables, cache).map_err(|e| format!("frame: {e}"))?;
+    Ok(PreparedTarget { image: p.linked.image, frame, tables, cache: cache.clone() })
 }
 
 /// The session builder for one attempt: spawn a fresh nub on the shared
@@ -359,8 +359,9 @@ fn attempt_builder(
             event_poll: Duration::from_millis(100),
             jitter_seed: u64::from(attempt),
         };
-        let source = TableSource::Compiled { frame: &prepared.frame, modules: &prepared.tables };
-        ldb.attach(Box::new(wire), source, Some(handle), AttachOpts { client, fault })?;
+        let opts = AttachOpts { client, fault };
+        let p = &*prepared;
+        ldb.attach(Box::new(wire), &p.frame, &p.tables, &p.cache, Some(handle), opts)?;
         Ok(String::new())
     })
 }

@@ -16,7 +16,7 @@
 //! analysis). Lookup caches live for one run only, so machine-dependent
 //! names (`Regset0`, `&wordsize`, …) still rebind per architecture.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,9 +59,8 @@ struct NameEntry {
 /// The value is immutable after compilation and holds only `Arc`-interned
 /// data, so it is `Send + Sync`: a daemon's tenants attached to the same
 /// binary share one compile through a [`ModuleCache`]. The original
-/// source is retained so a module that later faults under its budget can
-/// be quarantined and retried through the existing source-based reload
-/// path.
+/// source is retained for the quarantine record of a module that later
+/// faults under its budget.
 #[derive(Debug)]
 pub struct CompiledModule {
     strings: Vec<Arc<str>>,
@@ -72,19 +71,13 @@ pub struct CompiledModule {
     /// (error provenance: "module X near byte N", matching the scanner).
     top_pos: Vec<u32>,
     source: Arc<str>,
-    source_hash: u64,
     architecture: Option<String>,
 }
 
 impl CompiledModule {
-    /// The original PostScript source (kept for quarantine/reload).
+    /// The original PostScript source (kept for quarantine records).
     pub fn source(&self) -> &Arc<str> {
         &self.source
-    }
-
-    /// FNV-1a hash of the source — the content half of the cache key.
-    pub fn source_hash(&self) -> u64 {
-        self.source_hash
     }
 
     /// The architecture the module's header names (`/architecture (…)`),
@@ -92,11 +85,6 @@ impl CompiledModule {
     /// connect without executing them.
     pub fn architecture(&self) -> Option<&str> {
         self.architecture.as_deref()
-    }
-
-    /// Number of top-level instructions.
-    pub fn top_len(&self) -> usize {
-        self.top.len()
     }
 
     /// Execute the compiled module.
@@ -246,16 +234,6 @@ impl Thaw {
     }
 }
 
-impl Interp {
-    /// Execute a compiled module (see [`CompiledModule::run`]).
-    ///
-    /// # Errors
-    /// As [`CompiledModule::run`].
-    pub fn run_compiled(&mut self, m: &CompiledModule) -> PsResult<()> {
-        m.run(self)
-    }
-}
-
 /// Exec names whose presence anywhere in a module disables lookup
 /// caching for the whole module: `begin`/`end` change the dictionary
 /// stack mid-run, and `cvn` can mint names from computed strings.
@@ -266,14 +244,14 @@ struct Compiler {
     string_index: HashMap<Arc<str>, u32>,
     names: Vec<Arc<str>>,
     name_index: HashMap<Arc<str>, u32>,
+    /// Per name: may the module rebind it? True for names it uses as
+    /// literal names (`/x`, potential `def` targets) and — marked once
+    /// the whole module is scanned ([`Compiler::mark_string_words`]) —
+    /// names hidden as words in string literals, behind which deferred
+    /// code (`(…) cvx`) and `cvn` arguments hide. Lookups of these
+    /// names are never cached.
+    rebindable: Vec<bool>,
     procs: Vec<Vec<Instr>>,
-    /// Texts the module uses as literal names (`/x`): potential `def`
-    /// targets, so lookups of the matching exec names are never cached.
-    lit_names: HashSet<Arc<str>>,
-    /// Words appearing inside string literals: deferred code (`(…) cvx`)
-    /// and `cvn` arguments hide behind these, so they are treated like
-    /// literal names.
-    string_words: HashSet<String>,
     /// Set when a [`DYNAMIC_MARKERS`] name appears: no caching at all.
     dynamic: bool,
 }
@@ -285,9 +263,8 @@ impl Compiler {
             string_index: HashMap::new(),
             names: Vec::new(),
             name_index: HashMap::new(),
+            rebindable: Vec::new(),
             procs: Vec::new(),
-            lit_names: HashSet::new(),
-            string_words: HashSet::new(),
             dynamic: false,
         }
     }
@@ -295,12 +272,6 @@ impl Compiler {
     fn intern_string(&mut self, s: &str) -> u32 {
         if let Some(&i) = self.string_index.get(s) {
             return i;
-        }
-        for word in s.split(|c: char| !is_word_char(c)) {
-            let word = word.trim_start_matches('/');
-            if !word.is_empty() {
-                self.string_words.insert(word.to_string());
-            }
         }
         let a: Arc<str> = Arc::from(s);
         let i = self.strings.len() as u32;
@@ -317,7 +288,21 @@ impl Compiler {
         let i = self.names.len() as u32;
         self.names.push(Arc::clone(&a));
         self.name_index.insert(a, i);
+        self.rebindable.push(false);
         i
+    }
+
+    /// Mark every name that appears as a word in some string literal
+    /// rebindable. Run once after the scan: a lookup per word of each
+    /// distinct string, and no per-word allocation.
+    fn mark_string_words(&mut self) {
+        for s in &self.strings {
+            for word in s.split(|c: char| !is_word_char(c)) {
+                if let Some(&i) = self.name_index.get(word.trim_start_matches('/')) {
+                    self.rebindable[i as usize] = true;
+                }
+            }
+        }
     }
 
     fn compile_token(&mut self, tok: &Object) -> PsResult<Instr> {
@@ -327,7 +312,7 @@ impl Compiler {
             (Value::String(s), false) => Ok(Instr::Str(self.intern_string(s))),
             (Value::Name(n), false) => {
                 let i = self.intern_name(n);
-                self.lit_names.insert(Arc::clone(&self.names[i as usize]));
+                self.rebindable[i as usize] = true;
                 Ok(Instr::LitName(i))
             }
             (Value::Name(n), true) => {
@@ -386,17 +371,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// still works.
 ///
 /// # Errors
-/// Scanner errors (syntax, token caps) from the single pass.
-pub fn compile_module(source: &str) -> PsResult<CompiledModule> {
+/// Scanner errors (syntax, token caps) from the single pass, carrying
+/// `name` and the byte offset the scanner had reached ("module X near
+/// byte N"), as run-time errors do.
+pub fn compile_module(name: &str, source: &str) -> PsResult<CompiledModule> {
     let mut c = Compiler::new();
     let mut sc = Scanner::from_str(source);
     let mut top = Vec::new();
     let mut top_pos = Vec::new();
-    while let Some(tok) = sc.next_token()? {
-        let instr = c.compile_token(&tok)?;
-        top.push(instr);
-        top_pos.push(sc.position().min(u32::MAX as u64) as u32);
-    }
+    let mut scan = || -> PsResult<()> {
+        while let Some(tok) = sc.next_token()? {
+            top.push(c.compile_token(&tok)?);
+            top_pos.push(sc.position().min(u32::MAX as u64) as u32);
+        }
+        Ok(())
+    };
+    scan().map_err(|e| e.with_context(name, Some(sc.position())))?;
     // The unit header, statically: `/architecture (name)` adjacency in
     // the top-level stream.
     let mut architecture = None;
@@ -408,13 +398,13 @@ pub fn compile_module(source: &str) -> PsResult<CompiledModule> {
             }
         }
     }
+    c.mark_string_words();
     let names = c
         .names
         .iter()
-        .map(|text| NameEntry {
-            cacheable: !c.dynamic
-                && !c.lit_names.contains(text)
-                && !c.string_words.contains(&**text),
+        .zip(&c.rebindable)
+        .map(|(text, &rebindable)| NameEntry {
+            cacheable: !c.dynamic && !rebindable,
             text: Arc::clone(text),
         })
         .collect();
@@ -425,7 +415,6 @@ pub fn compile_module(source: &str) -> PsResult<CompiledModule> {
         top,
         top_pos,
         source: Arc::from(source),
-        source_hash: fnv1a(source.as_bytes()),
         architecture,
     })
 }
@@ -437,7 +426,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
-    /// Distinct compiled modules currently interned.
+    /// Distinct modules currently interned (a compile in flight included).
     pub entries: usize,
 }
 
@@ -447,9 +436,19 @@ pub struct CacheStats {
 /// budget-checked compile — that is the trust boundary that lets N
 /// sessions share one entry: nothing a session does at run time can
 /// write through the `Arc`.
-#[derive(Debug, Default)]
+///
+/// The value is a handle: clones share one set of entries and counters.
+#[derive(Debug, Default, Clone)]
 pub struct ModuleCache {
-    entries: Mutex<HashMap<(u64, usize), Arc<CompiledModule>>>,
+    shared: Arc<Shared>,
+}
+
+/// One key's entry: empty until its single compile fills it.
+type Slot = Arc<Mutex<Option<Arc<CompiledModule>>>>;
+
+#[derive(Debug, Default)]
+struct Shared {
+    entries: Mutex<HashMap<(u64, usize), Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -462,32 +461,52 @@ impl ModuleCache {
 
     /// The compiled form of `source`, compiling at most once per distinct
     /// content. Returns the module and whether it was served from cache.
+    /// `name` labels compile errors only; it is not part of the key.
+    ///
+    /// Single-flight: concurrent callers for one key wait on that key's
+    /// slot while the first of them compiles, then share its result (and
+    /// count as hits). Callers for other keys are not held up — the map
+    /// lock is only taken to find the slot.
     ///
     /// # Errors
     /// Compile (scanner) errors; failed compiles are not cached, so a
     /// transiently corrupt artifact does not poison the key.
-    pub fn get_or_compile(&self, source: &str) -> PsResult<(Arc<CompiledModule>, bool)> {
+    pub fn get_or_compile(&self, name: &str, source: &str) -> PsResult<(Arc<CompiledModule>, bool)> {
         let key = (fnv1a(source.as_bytes()), source.len());
-        if let Some(m) = lock(&self.entries).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let slot = Arc::clone(lock(&self.shared.entries).entry(key).or_default());
+        let mut filled = lock(&slot);
+        if let Some(m) = &*filled {
+            self.shared.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(m), true));
         }
-        // Compile outside the lock: a slow compile must not serialize
-        // unrelated tenants. Two racing compiles of the same source are
-        // both correct; the first insert wins.
-        let compiled = Arc::new(compile_module(source)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut g = lock(&self.entries);
-        let entry = g.entry(key).or_insert_with(|| Arc::clone(&compiled));
-        Ok((Arc::clone(entry), false))
+        match compile_module(name, source) {
+            Ok(m) => {
+                self.shared.misses.fetch_add(1, Ordering::Relaxed);
+                let m = Arc::new(m);
+                *filled = Some(Arc::clone(&m));
+                Ok((m, false))
+            }
+            Err(e) => {
+                drop(filled);
+                // Drop the empty slot unless another caller still waits
+                // on it (that caller compiles for itself, and the last
+                // one out removes it). Only the map and this caller
+                // holding the slot means it is still the key's entry.
+                let mut entries = lock(&self.shared.entries);
+                if Arc::strong_count(&slot) == 2 {
+                    entries.remove(&key);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: lock(&self.entries).len(),
+            hits: self.shared.hits.load(Ordering::Relaxed),
+            misses: self.shared.misses.load(Ordering::Relaxed),
+            entries: lock(&self.shared.entries).len(),
         }
     }
 }
@@ -522,10 +541,10 @@ mod tests {
         let eager_alloc = eager.alloc_used();
         eager.pop_budget(save);
 
-        let m = compile_module(src).unwrap();
+        let m = compile_module("t.c", src).unwrap();
         let (mut fast, fast_out) = Interp::new_capturing();
         let save = fast.push_budget(Budget::LOAD);
-        fast.run_compiled(&m).unwrap();
+        m.run(&mut fast).unwrap();
         assert_eq!(fast.fuel_used(), eager_fuel, "fuel diverged on {src:?}");
         assert_eq!(fast.alloc_used(), eager_alloc, "alloc diverged on {src:?}");
         fast.pop_budget(save);
@@ -566,7 +585,7 @@ mod tests {
 
     #[test]
     fn errors_keep_provenance() {
-        let m = compile_module("1 2 add no_such_name").unwrap();
+        let m = compile_module("t.c", "1 2 add no_such_name").unwrap();
         let mut i = Interp::new();
         let e = m.run_with_provenance(&mut i, "t.c").unwrap_err();
         match e {
@@ -581,30 +600,31 @@ mod tests {
     #[test]
     fn budget_trips_match_the_scanner_path() {
         let src = "/f {f} def 1 1 1000000 {pop} for";
-        let m = compile_module(src).unwrap();
+        let m = compile_module("t.c", src).unwrap();
         let mut i = Interp::new();
         let b = Budget { max_fuel: 10_000, ..Budget::UNLIMITED };
-        let e = i.with_budget(b, |i| i.run_compiled(&m)).unwrap_err();
+        let e = i.with_budget(b, |i| m.run(i)).unwrap_err();
         assert!(matches!(&e, PsError::Runtime(r) if r.kind == ErrorKind::Timeout), "{e}");
     }
 
     #[test]
     fn header_is_extracted_statically() {
         let m = compile_module(
+            "t.c",
             "<< /procs [ ] /externs 2 dict /statics 2 dict /architecture (mips) >>",
         )
         .unwrap();
         assert_eq!(m.architecture(), Some("mips"));
-        let m = compile_module("1 2 add").unwrap();
+        let m = compile_module("t.c", "1 2 add").unwrap();
         assert_eq!(m.architecture(), None);
     }
 
     #[test]
     fn cache_compiles_once_per_content() {
         let cache = ModuleCache::new();
-        let (a, hit_a) = cache.get_or_compile("1 2 add").unwrap();
-        let (b, hit_b) = cache.get_or_compile("1 2 add").unwrap();
-        let (_, hit_c) = cache.get_or_compile("3 4 add").unwrap();
+        let (a, hit_a) = cache.get_or_compile("t.c", "1 2 add").unwrap();
+        let (b, hit_b) = cache.get_or_compile("t.c", "1 2 add").unwrap();
+        let (_, hit_c) = cache.get_or_compile("t.c", "3 4 add").unwrap();
         assert!(!hit_a && hit_b && !hit_c);
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -614,9 +634,44 @@ mod tests {
     #[test]
     fn cache_does_not_retain_failed_compiles() {
         let cache = ModuleCache::new();
-        assert!(cache.get_or_compile("(unterminated").is_err());
+        assert!(cache.get_or_compile("t.c", "(unterminated").is_err());
+        assert!(cache.get_or_compile("t.c", "(unterminated").is_err());
         let s = cache.stats();
-        assert_eq!(s.entries, 0);
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+    }
+
+    #[test]
+    fn compile_errors_keep_provenance() {
+        let e = compile_module("t.c", "1 2 add (unterminated").unwrap_err();
+        match e {
+            PsError::Runtime(r) => {
+                assert_eq!(r.kind, ErrorKind::SyntaxError);
+                assert!(r.detail.starts_with("module t.c near byte "), "{}", r.detail);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compile_once() {
+        const THREADS: usize = 8;
+        let cache = ModuleCache::new();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let src = "/S1 << /name (v) /printer {pop (v) Put} >> def ".repeat(200);
+        let got: Vec<Arc<CompiledModule>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_compile("t.c", &src).unwrap().0
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, THREADS as u64 - 1, 1));
+        assert!(got.iter().all(|m| Arc::ptr_eq(m, &got[0])));
     }
 
     #[test]
@@ -624,7 +679,7 @@ mod tests {
         // Two runs of the same compiled module must not share mutable
         // arrays: a printer proc captured by the first session's dicts
         // must not alias the second's.
-        let m = compile_module("/p {1 2 add} def").unwrap();
+        let m = compile_module("t.c", "/p {1 2 add} def").unwrap();
         let mut i1 = Interp::new();
         m.run(&mut i1).unwrap();
         let mut i2 = Interp::new();

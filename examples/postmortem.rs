@@ -11,7 +11,7 @@
 
 use ldb_cc::driver::{compile, CompileOpts};
 use ldb_cc::{nm, pssym};
-use ldb_core::{AttachOpts, Ldb, StopEvent, TableSource};
+use ldb_core::{shared_module_cache, AttachOpts, Ldb, StopEvent};
 use ldb_machine::Arch;
 use ldb_nub::NubConfig;
 
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A debugger connects to the faulted process (the "network" path).
     let mut ldb = Ldb::new();
     let wire = nub.connect_channel().unwrap();
-    ldb.attach(Box::new(wire), TableSource::Whole(&loader), None, AttachOpts::default())?;
+    ldb.attach(Box::new(wire), &loader, &[], shared_module_cache(), None, AttachOpts::default())?;
     let t = ldb.target(0);
     let stop = t.stop.expect("stopped at the fault");
     println!("attached: signal {:?}, faulting address {:#x}", stop.sig, stop.code);
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A second ldb picks the target up where the first left it.
     let mut ldb2 = Ldb::new();
     let wire = nub.connect_channel().unwrap();
-    ldb2.attach(Box::new(wire), TableSource::Whole(&loader), None, AttachOpts::default())?;
+    ldb2.attach(Box::new(wire), &loader, &[], shared_module_cache(), None, AttachOpts::default())?;
     println!("new debugger attached; k is still {}", {
         ldb2.select_frame(1)?;
         ldb2.print_var("k")?

@@ -2,6 +2,8 @@
 # Repo-wide check: what CI runs, runnable locally too.
 #
 #   build (release)  — the tier-1 build
+#   examples         — every examples/*.rs runs to a zero exit (clippy
+#                      only compiles them; this catches run-time breaks)
 #   clippy           — lint gate; the whole workspace denies all warnings
 #   test             — workspace suite, incl. tests/fault_injection.rs
 #   robustness gate  — the artifact-corruption suite and the fuzz smoke,
@@ -57,6 +59,9 @@ for arg in "$@"; do
 done
 
 cargo build --release
+for ex in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$ex" .rs)" > /dev/null
+done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 cargo test -q --test artifact_corruption

@@ -77,7 +77,7 @@ use std::io::{BufRead, Write};
 
 use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts, CompiledProgram};
 use ldb_cc::pssym;
-use ldb_core::{AttachOpts, ChaosConfig, Ldb, ModuleTable, TableSource};
+use ldb_core::{shared_module_cache, AttachOpts, ChaosConfig, Ldb, ModuleTable};
 use ldb_machine::{Arch, ByteOrder};
 use ldb_machine::core::read_core;
 use ldb_nub::{spawn_machine, FaultConfig, NubConfig, NubHandle, TcpWire, Wire};
@@ -345,8 +345,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// Attach through the program's eager load plan, with the session's
-/// fault injector (if any) on the wire.
+/// Attach through the program's load plan (compiled through the
+/// process-wide module cache, loaded lazily), with the session's fault
+/// injector (if any) on the wire.
 fn attach(
     ldb: &mut Ldb,
     wire: Box<dyn Wire>,
@@ -355,9 +356,8 @@ fn attach(
     handle: NubHandle,
     fault: &Option<FaultConfig>,
 ) -> Result<usize, ldb_core::LdbError> {
-    let source = TableSource::Plan { frame, modules };
     let opts = AttachOpts { fault: fault.clone(), ..AttachOpts::default() };
-    ldb.attach(wire, source, Some(handle), opts)
+    ldb.attach(wire, frame, modules, shared_module_cache(), Some(handle), opts)
 }
 
 /// The load plan for the compiled program (regenerated on demand; it is

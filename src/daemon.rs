@@ -47,8 +47,8 @@ use std::time::{Duration, Instant};
 use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_cc::pssym::PsMode;
 use ldb_core::{
-    AttachOpts, ChaosConfig, CloseReason, CompiledTable, ModuleCache, SessionBuilder,
-    SessionConfig, SessionError, SessionRegistry, TableSource,
+    AttachOpts, ChaosConfig, CloseReason, ModuleCache, ModuleTable, SessionBuilder,
+    SessionConfig, SessionError, SessionRegistry,
 };
 use ldb_machine::Arch;
 use ldb_nub::{spawn, ClientConfig, FaultConfig, NubConfig};
@@ -177,7 +177,7 @@ impl Default for DaemonConfig {
 /// single-tenant module cache. The daemon itself uses
 /// [`session_builder_with_cache`] so tenants share compiled tables; this
 /// entry point is for solo baselines and tests, which must behave
-/// identically (same compiled-lazy load path, cache population aside).
+/// identically (same load path, cache population aside).
 pub fn session_builder(
     arch: Arch,
     src: &str,
@@ -185,40 +185,29 @@ pub fn session_builder(
     fault: Option<FaultConfig>,
     jitter_seed: u64,
 ) -> SessionBuilder {
-    session_builder_with_cache(arch, src, chaos, fault, jitter_seed, Arc::new(ModuleCache::new()))
+    session_builder_with_cache(arch, src, chaos, fault, jitter_seed, ModuleCache::new())
 }
 
 /// Build the [`SessionBuilder`] for one tenant: compile `src` for
-/// `arch`, intern its symbol tables in `cache` (one bytecode compile per
-/// distinct table content, however many tenants attach), spawn a fresh
-/// nub, optionally wrap the wire in a fault injector, optionally arm the
-/// chaos layer, and attach lazily — all of it on the session's worker
-/// thread.
+/// `arch`, spawn a fresh nub, optionally wrap the wire in a fault
+/// injector, optionally arm the chaos layer, and attach through `cache`
+/// (one bytecode compile per distinct table content, however many
+/// tenants attach) — all of it on the session's worker thread.
 pub fn session_builder_with_cache(
     arch: Arch,
     src: &str,
     chaos: Option<ChaosConfig>,
     fault: Option<FaultConfig>,
     jitter_seed: u64,
-    cache: Arc<ModuleCache>,
+    cache: ModuleCache,
 ) -> SessionBuilder {
     let src = src.to_string();
     Box::new(move |ldb| {
         let p = compile_many(&[("target.c", src.as_str())], arch, CompileOpts::default())
             .map_err(|e| ldb_core::LdbError::msg(format!("compile: {e}")))?;
-        let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-        let (frame, _hit) = cache
-            .get_or_compile(&frame_ps)
-            .map_err(|e| ldb_core::LdbError::msg(format!("loader frame: {e}")))?;
-        let modules: Vec<CompiledTable> = modules
-            .into_iter()
-            .map(|(name, ps)| {
-                let (module, _hit) = cache
-                    .get_or_compile(&ps)
-                    .map_err(|e| ldb_core::LdbError::msg(format!("table `{name}`: {e}")))?;
-                Ok(CompiledTable { name, module })
-            })
-            .collect::<Result<_, ldb_core::LdbError>>()?;
+        let (frame, modules) = program_load_plan(&p, PsMode::Deferred);
+        let modules: Vec<ModuleTable> =
+            modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
         let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
         let wire = handle
             .connect_channel()
@@ -231,8 +220,8 @@ pub fn session_builder_with_cache(
             event_poll: Duration::from_millis(100),
             jitter_seed,
         };
-        let source = TableSource::Compiled { frame: &frame, modules: &modules };
-        ldb.attach(Box::new(wire), source, Some(handle), AttachOpts { client, fault })?;
+        let opts = AttachOpts { client, fault };
+        ldb.attach(Box::new(wire), &frame, &modules, &cache, Some(handle), opts)?;
         Ok(format!("{arch}"))
     })
 }
@@ -245,7 +234,7 @@ pub struct Daemon {
     registry: Arc<SessionRegistry>,
     /// Compiled symbol tables shared by every tenant (read-only entries,
     /// keyed by table content).
-    cache: Arc<ModuleCache>,
+    cache: ModuleCache,
     /// Connection-edge counters (`health` folds a snapshot in).
     net: Arc<ConnMetrics>,
     /// Monotonic connection ids for the net-layer journal.
@@ -270,7 +259,7 @@ impl Daemon {
         Daemon {
             cfg,
             registry,
-            cache: Arc::new(ModuleCache::new()),
+            cache: ModuleCache::new(),
             net: Arc::new(ConnMetrics::default()),
             next_conn: AtomicU64::new(0),
             trace,
@@ -284,7 +273,7 @@ impl Daemon {
     }
 
     /// The shared compiled-module cache (tests assert its counters).
-    pub fn module_cache(&self) -> &Arc<ModuleCache> {
+    pub fn module_cache(&self) -> &ModuleCache {
         &self.cache
     }
 
@@ -431,7 +420,7 @@ impl Daemon {
             }
         }
         let builder =
-            session_builder_with_cache(arch, prog, chaos, fault, jitter, Arc::clone(&self.cache));
+            session_builder_with_cache(arch, prog, chaos, fault, jitter, self.cache.clone());
         match self.registry.open(cfg, builder) {
             Ok(id) => Ok(format!("{id}")),
             Err(e) => Err(e.to_string()),
@@ -784,7 +773,9 @@ impl DaemonClient {
                     .to_string(),
             );
         }
-        writeln!(self.writer, "{line}").map_err(|e| format!("io: {e}"))?;
+        // One write for the line and its terminator: split into two
+        // segments, the second waits on the first's delayed ACK (Nagle).
+        self.writer.write_all(format!("{line}\n").as_bytes()).map_err(|e| format!("io: {e}"))?;
         let mut reply = String::new();
         self.reader.read_line(&mut reply).map_err(|e| format!("io: {e}"))?;
         let reply = reply.trim_end_matches('\n');

@@ -6,6 +6,13 @@
 //! sandbox holds: the load never panics, never exceeds its budgets, the
 //! corrupt module is quarantined with a typed error, and the healthy
 //! modules still debug.
+//!
+//! Tables load lazily: a module that fails to *compile* (or lacks a
+//! usable `/architecture` header) is quarantined at attach, while one
+//! that only fails when *run* — a loop, an allocation bomb, a corruption
+//! the scanner accepts — is admitted at attach and quarantined when a
+//! command first forces the tables. Reason checks for run-time trips
+//! therefore follow a forcing command ([`force_tables`]).
 
 use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts, CompiledProgram};
 use ldb_suite::cc::pssym::PsMode;
@@ -74,6 +81,12 @@ fn attach(
         Ok(_) => Ok(ldb),
         Err(e) => Err(e.to_string()),
     }
+}
+
+/// Plant a breakpoint on `main.c`'s `printf` line, after the loop. Line
+/// lookups force every pending module, so run-time trips quarantine here.
+fn force_tables(ldb: &mut Ldb, arch: Arch) {
+    ldb.break_at_file_line("main.c", 12).unwrap_or_else(|e| panic!("{arch}: line breakpoint: {e}"));
 }
 
 /// A tiny deterministic generator (xorshift64*), so corruption is seeded
@@ -175,6 +188,9 @@ fn seeded_corruptions_never_panic_and_quarantine_cleanly() {
                         "{arch}/{tag}/{seed}: attach must survive one corrupt module: {e}"
                     ),
                 };
+                // Debugging main forces every table, so run-time trips
+                // are quarantined by the time the reasons are read.
+                assert_main_debuggable(&mut ldb, arch, tag);
                 // Either the mutation was harmless (a bit flip inside a
                 // string literal) and everything loaded, or the module is
                 // quarantined with its provenance in the reason.
@@ -187,7 +203,6 @@ fn seeded_corruptions_never_panic_and_quarantine_cleanly() {
                         "{arch}/{tag}/{seed}: reason lacks provenance: {reason}"
                     );
                 }
-                assert_main_debuggable(&mut ldb, arch, tag);
             }
         }
     }
@@ -199,6 +214,7 @@ fn injected_infinite_loop_times_out_and_is_quarantined() {
         let (p, frame, mut modules) = plan_for(arch);
         modules[0].ps = inject_loop(&modules[0].ps, 0);
         let mut ldb = attach(&p, &frame, &modules).unwrap_or_else(|e| panic!("{arch}: {e}"));
+        force_tables(&mut ldb, arch);
         let q = ldb.quarantined_modules();
         assert_eq!(q.len(), 1, "{arch}: {q:?}");
         assert!(
@@ -218,7 +234,8 @@ fn allocation_bomb_trips_a_budget_error_not_the_host() {
     for arch in Arch::ALL {
         let (p, frame, mut modules) = plan_for(arch);
         modules[0].ps = inject_alloc_bomb(&modules[0].ps, 0);
-        let ldb = attach(&p, &frame, &modules).unwrap_or_else(|e| panic!("{arch}: {e}"));
+        let mut ldb = attach(&p, &frame, &modules).unwrap_or_else(|e| panic!("{arch}: {e}"));
+        force_tables(&mut ldb, arch);
         let q = ldb.quarantined_modules();
         assert_eq!(q.len(), 1, "{arch}: {q:?}");
         // The bomb dies on whichever budget it hits first (bytes, stack
@@ -255,6 +272,7 @@ fn reload_retries_quarantined_modules() {
         // budget and reloading must then succeed.
         modules[0].ps = format!("0 1 200000 {{ pop }} for\n{}", modules[0].ps);
         let mut ldb = attach(&p, &frame, &modules).unwrap_or_else(|e| panic!("{arch}: {e}"));
+        force_tables(&mut ldb, arch);
         assert_eq!(ldb.quarantined_modules().len(), 1, "{arch}");
         assert!(ldb.break_at("clamp", 0).is_err(), "{arch}");
 
@@ -290,6 +308,7 @@ fn default_limits_stop_an_unbounded_loop_in_bounded_time() {
     let mut ldb = Ldb::new(); // default PsBudgets
     let started = std::time::Instant::now();
     ldb.attach_plan(Box::new(wire), &frame, &modules, Some(handle)).unwrap();
+    force_tables(&mut ldb, arch);
     assert!(
         started.elapsed() < std::time::Duration::from_secs(120),
         "fuel budget did not bound the load: {:?}",
@@ -298,4 +317,37 @@ fn default_limits_stop_an_unbounded_loop_in_bounded_time() {
     let q = ldb.quarantined_modules();
     assert_eq!(q.len(), 1);
     assert!(q[0].1.contains("timeout"), "{}", q[0].1);
+}
+
+#[test]
+fn runtime_failure_is_admitted_at_connect_and_quarantined_on_first_force() {
+    let arch = Arch::Sparc;
+    let (p, frame, mut modules) = plan_for(arch);
+    modules[0].ps = inject_loop(&modules[0].ps, 0);
+    let mut ldb = attach(&p, &frame, &modules).unwrap_or_else(|e| panic!("{arch}: {e}"));
+    // The table compiles and its header names the right architecture:
+    // connect admits it without running it.
+    assert!(ldb.quarantined_modules().is_empty(), "{:?}", ldb.quarantined_modules());
+    force_tables(&mut ldb, arch);
+    let q = ldb.quarantined_modules();
+    assert_eq!(q.len(), 1, "{q:?}");
+    assert_eq!(q[0].0, "lib.c");
+    assert!(q[0].1.contains("timeout") && q[0].1.contains("lib.c"), "{}", q[0].1);
+}
+
+#[test]
+fn compile_failure_is_quarantined_at_connect_with_provenance() {
+    let arch = Arch::M68k;
+    let (p, frame, mut modules) = plan_for(arch);
+    // An unterminated string literal: the scanner, and so the compile,
+    // rejects the table before anything runs.
+    modules[0].ps = format!("{}\n(unterminated", modules[0].ps);
+    let mut ldb = attach(&p, &frame, &modules).unwrap_or_else(|e| panic!("{arch}: {e}"));
+    let q = ldb.quarantined_modules();
+    assert_eq!(q.len(), 1, "{q:?}");
+    assert!(q[0].1.contains("module lib.c near byte "), "{}", q[0].1);
+    // Reloading compiles it again, and it fails the same way.
+    let rows = ldb.reload_modules().unwrap();
+    assert!(rows[0].1.as_ref().is_err_and(|r| r.contains("near byte")), "{rows:?}");
+    assert_main_debuggable(&mut ldb, arch, "unterminated");
 }

@@ -28,7 +28,11 @@ fn write_src(name: &str, body: &str) -> String {
     let dir = std::env::temp_dir().join("ldb-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
-    std::fs::write(&path, body).unwrap();
+    // Tests running in parallel write the same file names: write aside
+    // and rename, so an `ldb` reading the file never sees it half written.
+    let tmp = dir.join(format!("{name}.{:?}", std::thread::current().id()));
+    std::fs::write(&tmp, body).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path.to_str().unwrap().to_string()
 }
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use ldb_suite::cc::driver::{program_load_plan, CompiledProgram};
 use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{AttachOpts, Ldb, LdbError, ModuleTable, TableSource};
+use ldb_suite::core::{shared_module_cache, AttachOpts, Ldb, LdbError, ModuleTable};
 use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 
 /// No-surprises wire policy: an in-process channel answers in
@@ -29,14 +29,14 @@ pub fn quiet_client() -> ClientConfig {
 }
 
 /// Spawn `p` under a nub paused at startup and attach `ldb` to it through
-/// the eager load plan with the [`quiet_client`] policy.
+/// its load plan (compiled through the process-wide module cache, loaded
+/// lazily) with the [`quiet_client`] policy.
 pub fn attach_quiet(ldb: &mut Ldb, p: &CompiledProgram) -> Result<usize, LdbError> {
     let (frame, modules) = program_load_plan(p, PsMode::Deferred);
     let modules: Vec<ModuleTable> =
         modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
     let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
     let wire = handle.connect_channel().map_err(|e| LdbError::msg(format!("connect: {e}")))?;
-    let source = TableSource::Plan { frame: &frame, modules: &modules };
     let opts = AttachOpts { client: quiet_client(), fault: None };
-    ldb.attach(Box::new(wire), source, Some(handle), opts)
+    ldb.attach(Box::new(wire), &frame, &modules, shared_module_cache(), Some(handle), opts)
 }

@@ -7,9 +7,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ldb_suite::daemon::{escape_line, unescape_line, Daemon, DaemonConfig};
+use ldb_suite::daemon::{escape_line, unescape_line, Daemon, DaemonClient, DaemonConfig};
 use proptest::prelude::*;
 
 /// Arbitrary payloads, weighted toward the characters the escaper cares
@@ -136,4 +136,28 @@ fn crlf_client_over_tcp() {
     assert!(h.contains("\"sessions\":1"), "{h}");
     assert!(request("shutdown").starts_with("shutdown"));
     server.join().unwrap().unwrap();
+}
+
+/// `DaemonClient::request` sends each line in one write. Sent as the
+/// line and then its newline, the second segment waits on the first's
+/// delayed ACK (Nagle) — about 40 ms a request on loopback, so 50 pings
+/// took about 2 s.
+#[test]
+fn client_requests_do_not_stall_on_delayed_acks() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let daemon = Arc::new(Daemon::new(DaemonConfig::default()));
+    let server = {
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || daemon.serve(listener))
+    };
+    let mut client = DaemonClient::connect(addr).unwrap();
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(client.request("ping").unwrap(), "pong");
+    }
+    let took = started.elapsed();
+    assert!(client.request("shutdown").unwrap().starts_with("shutdown"));
+    server.join().unwrap().unwrap();
+    assert!(took < Duration::from_secs(1), "50 sequential pings took {took:?}");
 }

@@ -9,7 +9,7 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{AttachOpts, Ldb, LdbError, StopEvent, TableSource};
+use ldb_suite::core::{shared_module_cache, AttachOpts, Ldb, LdbError, StopEvent};
 use ldb_suite::machine::Arch;
 use ldb_suite::nub::{spawn, ClientConfig, FaultConfig, FaultStats, FaultyWire, NubConfig};
 use ldb_suite::trace::{validate, Layer, Record, Trace, TraceConfig, Value};
@@ -81,7 +81,7 @@ fn attach_faulty(arch: Arch, start: i64, spec: &str) -> Ldb {
     let wire = handle.connect_channel().unwrap();
     let faulty = FaultyWire::wrap(wire, FaultConfig::parse(spec).unwrap());
     let mut ldb = Ldb::new();
-    ldb.attach(Box::new(faulty), TableSource::Whole(&loader), Some(handle), lossy())
+    ldb.attach(Box::new(faulty), &loader, &[], shared_module_cache(), Some(handle), lossy())
         .unwrap_or_else(|e| panic!("{arch}: attach over faulty wire: {e}"));
     ldb.break_at("collatz", 3).unwrap_or_else(|e| panic!("{arch}: {e}"));
     ldb
@@ -287,7 +287,7 @@ fn journal_cross_checks_wire_metrics_and_fault_stats() {
 
     let mut ldb = Ldb::new();
     ldb.set_trace(trace.clone());
-    ldb.attach(Box::new(faulty), TableSource::Whole(&loader), Some(handle), lossy()).unwrap();
+    ldb.attach(Box::new(faulty), &loader, &[], shared_module_cache(), Some(handle), lossy()).unwrap();
     ldb.break_at("collatz", 3).unwrap();
     ldb.registers().unwrap(); // register snapshot for the degraded window
 
@@ -433,7 +433,7 @@ fn debugger_crash_reattach_recovers_plants() {
 
         // First debugger: plant, advance five hits, then "crash".
         let mut ldb1 = Ldb::new();
-        ldb1.attach(Box::new(handle.connect_channel().unwrap()), TableSource::Whole(&loader), None, AttachOpts::default()).unwrap();
+        ldb1.attach(Box::new(handle.connect_channel().unwrap()), &loader, &[], shared_module_cache(), None, AttachOpts::default()).unwrap();
         let addr = ldb1.break_at("collatz", 3).unwrap();
         for k in 0..5 {
             let ev = ldb1.cont().unwrap();
@@ -443,7 +443,7 @@ fn debugger_crash_reattach_recovers_plants() {
 
         // Second debugger: fresh session, fresh wire, same nub.
         let mut ldb2 = Ldb::new();
-        ldb2.attach(Box::new(handle.connect_channel().unwrap()), TableSource::Whole(&loader), None, AttachOpts::default())
+        ldb2.attach(Box::new(handle.connect_channel().unwrap()), &loader, &[], shared_module_cache(), None, AttachOpts::default())
             .unwrap_or_else(|e| panic!("{arch}: reattach: {e}"));
         let t = ldb2.target(0);
         assert!(t.breakpoints.is_planted(addr), "{arch}: plant not recovered");

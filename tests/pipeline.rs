@@ -3,7 +3,7 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{AttachOpts, Ldb, StopEvent, TableSource};
+use ldb_suite::core::{shared_module_cache, AttachOpts, Ldb, StopEvent};
 use ldb_suite::machine::Arch;
 
 /// A program exercising structs, pointers, floats, statics, recursion, and
@@ -144,7 +144,7 @@ fn detach_and_reattach_from_a_new_session() {
     // recovers the planted breakpoint from the nub, and carries on.
     let mut ldb2 = Ldb::new();
     let wire = nub.connect_channel().unwrap();
-    ldb2.attach(Box::new(wire), TableSource::Whole(&loader), None, AttachOpts::default()).unwrap();
+    ldb2.attach(Box::new(wire), &loader, &[], shared_module_cache(), None, AttachOpts::default()).unwrap();
     assert_eq!(
         ldb2.target(0).breakpoints.addresses().len(),
         1,
