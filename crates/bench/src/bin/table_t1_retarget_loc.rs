@@ -11,29 +11,43 @@
 
 use ldb_bench::{file_loc, ws};
 
-fn main() {
-    let targets = ["mips", "m68k", "sparc", "vax"];
+const TARGETS: [&str; 4] = ["mips", "m68k", "sparc", "vax"];
 
+/// The port directories: each holds one `{target}.rs` per target, and
+/// every other `.rs` file in it is shared code the ports build on.
+const DEBUGGER_DIRS: [&str; 3] =
+    ["crates/core/src/frame", "crates/cc/src/gen", "crates/machine/src/encode"];
+const NUB_DIR: &str = "crates/nub/src/arch";
+
+/// Lines of the shared (not per-target) `.rs` files in a port directory.
+fn shared_in(dir: &str) -> usize {
+    let entries = std::fs::read_dir(ws(dir)).unwrap_or_else(|e| panic!("{dir}: {e}"));
+    entries
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| {
+            p.extension().is_some_and(|x| x == "rs")
+                && !TARGETS.iter().any(|t| p.file_stem().is_some_and(|s| s == *t))
+        })
+        .map(|p| file_loc(&p.to_string_lossy()))
+        .sum()
+}
+
+fn main() {
     // Debugger: per-target stack walkers + compiler back ends + encoders
     // (everything retargeting one more CPU requires writing).
-    let dbg: Vec<usize> = targets
+    let dbg: Vec<usize> = TARGETS
         .iter()
-        .map(|t| {
-            file_loc(&ws(&format!("crates/core/src/frame/{t}.rs")))
-                + file_loc(&ws(&format!("crates/cc/src/gen/{t}.rs")))
-                + file_loc(&ws(&format!("crates/machine/src/encode/{t}.rs")))
-        })
+        .map(|t| DEBUGGER_DIRS.iter().map(|d| file_loc(&ws(&format!("{d}/{t}.rs")))).sum())
         .collect();
     let ps: Vec<usize> =
-        targets.iter().map(|t| file_loc(&ws(&format!("crates/core/src/ps/{t}.ps")))).collect();
+        TARGETS.iter().map(|t| file_loc(&ws(&format!("crates/core/src/ps/{t}.ps")))).collect();
     let nub: Vec<usize> =
-        targets.iter().map(|t| file_loc(&ws(&format!("crates/nub/src/arch/{t}.rs")))).collect();
+        TARGETS.iter().map(|t| file_loc(&ws(&format!("{NUB_DIR}/{t}.rs")))).collect();
 
     let shared_dbg: usize = [
         "crates/core/src/amemory.rs",
         "crates/core/src/breakpoint.rs",
         "crates/core/src/debugger.rs",
-        "crates/core/src/frame/mod.rs",
         "crates/core/src/loader.rs",
         "crates/core/src/psops.rs",
         "crates/core/src/symtab.rs",
@@ -54,25 +68,24 @@ fn main() {
         "crates/postscript/src/ops/convops.rs",
         "crates/postscript/src/ops/ioops.rs",
         "crates/postscript/src/ops/debugops.rs",
-        "crates/cc/src/gen/mod.rs",
         "crates/cc/src/sched.rs",
         "crates/machine/src/cpu.rs",
-        "crates/machine/src/encode/mod.rs",
     ]
     .iter()
     .map(|p| file_loc(&ws(p)))
-    .sum();
+    .sum::<usize>()
+        + DEBUGGER_DIRS.iter().map(|d| shared_in(d)).sum::<usize>();
     let shared_ps = file_loc(&ws("crates/core/src/ps/base.ps"));
     let shared_nub: usize = [
         "crates/nub/src/nub.rs",
         "crates/nub/src/proto.rs",
         "crates/nub/src/transport.rs",
         "crates/nub/src/client.rs",
-        "crates/nub/src/arch/mod.rs",
     ]
     .iter()
     .map(|p| file_loc(&ws(p)))
-    .sum();
+    .sum::<usize>()
+        + shared_in(NUB_DIR);
 
     println!("T1: machine-dependent lines of code per target (paper Sec. 4.3)");
     println!("{:<14} {:>6} {:>6} {:>6} {:>6} {:>8}", "", "MIPS", "68020", "SPARC", "VAX", "shared");

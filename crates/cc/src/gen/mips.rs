@@ -10,12 +10,12 @@
 //! needs the most machine-dependent code (paper, Sec. 4.3).
 
 use crate::asm::{AsmFn, AsmIns, FrameInfo};
-use crate::ir::{FuncIr, Storage};
-use crate::lex::{CcError, CcResult, Pos};
-use crate::types::{Sfx, Type};
-use ldb_machine::{arch, AluOp, Cond, FltSize, MachineData, MemSize, Op};
+use crate::ir::FuncIr;
+use crate::lex::CcResult;
+use crate::types::Sfx;
+use ldb_machine::{arch, AluOp, Cond, MachineData, MemSize, Op};
 
-use super::{align_to, TargetGen, Val};
+use super::{align_to, risc, TargetGen, Val};
 
 /// The MIPS code generator.
 pub struct MipsGen;
@@ -28,15 +28,6 @@ const REGVARS: [u8; 8] = [30, 16, 17, 18, 19, 20, 21, 22];
 const ISCRATCH: [u8; 10] = [8, 9, 10, 11, 12, 13, 14, 15, 24, 25];
 const FSCRATCH: [u8; 7] = [1, 2, 3, 4, 5, 6, 7];
 const ARG_REGS: [u8; 4] = [4, 5, 6, 7];
-
-/// Is this variable eligible to live in a register?
-pub(crate) fn reg_eligible(ty: &Type, addr_taken: bool) -> bool {
-    !addr_taken
-        && matches!(
-            ty,
-            Type::Int | Type::UInt | Type::Char | Type::UChar | Type::Short | Type::UShort | Type::Ptr(_)
-        )
-}
 
 impl TargetGen for MipsGen {
     fn data(&self) -> &'static MachineData {
@@ -56,55 +47,11 @@ impl TargetGen for MipsGen {
     }
 
     fn layout(&self, f: &mut FuncIr, outgoing: u32, spill_bytes: u32) -> FrameInfo {
-        // Parameter homes: non-negative vfp offsets (the caller's outgoing
-        // area), shared slot walk with emit_call.
-        let mut slot = 0u32;
-        for p in &mut f.params {
-            let sz = if p.ty == Type::Double { 8 } else { 4 };
-            slot = align_to(slot, sz);
-            p.storage = Storage::Frame(slot as i32);
-            slot += sz;
-        }
-        // Register variables, then frame locals (sp-relative for now).
-        let mut next_rv = 0usize;
-        let mut save_mask = 0u32;
-        let mut acc = align_to(outgoing.max(16), 4);
-        let spill_sp = acc;
-        acc += spill_bytes;
-        let mut local_sp: Vec<(usize, u32)> = Vec::new();
-        for (idx, l) in f.locals.iter_mut().enumerate() {
-            if l.storage == Storage::Unassigned {
-                if reg_eligible(&l.ty, l.addr_taken) && next_rv < REGVARS.len() {
-                    let r = REGVARS[next_rv];
-                    next_rv += 1;
-                    save_mask |= 1 << r;
-                    l.storage = Storage::Reg(r);
-                    continue;
-                }
-                let a = l.ty.align().max(4);
-                acc = align_to(acc, a);
-                local_sp.push((idx, acc));
-                acc += l.ty.size().max(4);
-            }
-        }
-        // Regvar save area.
-        let save_sp = align_to(acc, 4);
-        acc = save_sp + 4 * next_rv as u32;
+        let body = risc::layout(f, outgoing, spill_bytes, &REGVARS);
         // Return address at the top.
-        let ra_sp = align_to(acc, 4);
-        acc = ra_sp + 4;
-        let size = align_to(acc, 8);
-        // Convert local offsets to vfp-relative (negative).
-        for (idx, sp_off) in local_sp {
-            f.locals[idx].storage = Storage::Frame(sp_off as i32 - size as i32);
-        }
-        FrameInfo {
-            size,
-            save_mask,
-            save_offset: size - save_sp,
-            ra_offset: Some(size - ra_sp),
-            spill_base: spill_sp as i32 - size as i32,
-        }
+        let ra_sp = body.top;
+        let size = align_to(ra_sp + 4, 8);
+        body.finish(f, size, size - ra_sp)
     }
 
     fn prologue(&self, a: &mut AsmFn, f: &FuncIr) {
@@ -112,55 +59,13 @@ impl TargetGen for MipsGen {
         a.op(Op::AluI { op: AluOp::Add, rd: SP, rs: SP, imm: -(size as i32) as i16 });
         let ra_sp = size - a.frame.ra_offset.expect("mips saves ra");
         a.op(Op::Store { size: MemSize::B4, rs: RA, base: SP, off: ra_sp as i16 });
-        // Save the register variables we will use.
-        let save_sp = size - a.frame.save_offset;
-        let mut k = 0u32;
-        for &r in &REGVARS {
-            if uses_regvar(f, r) {
-                a.op(Op::Store {
-                    size: MemSize::B4,
-                    rs: r,
-                    base: SP,
-                    off: (save_sp + 4 * k) as i16,
-                });
-                k += 1;
-            }
-        }
-        // Home the incoming register arguments.
-        let mut int_args = 0usize;
-        for p in &f.params {
-            let Storage::Frame(off) = p.storage else { continue };
-            if p.ty == Type::Double || p.ty == Type::Float {
-                continue; // already on the stack, written by the caller
-            }
-            if int_args < ARG_REGS.len() {
-                a.op(Op::Store {
-                    size: MemSize::B4,
-                    rs: ARG_REGS[int_args],
-                    base: SP,
-                    off: (off + size as i32) as i16,
-                });
-                int_args += 1;
-            }
-        }
+        risc::save_regvars(a, f, SP, &REGVARS);
+        risc::home_args(a, f, &ARG_REGS, SP, size as i32);
     }
 
     fn epilogue(&self, a: &mut AsmFn, f: &FuncIr) {
         let size = a.frame.size;
-        let save_sp = size - a.frame.save_offset;
-        let mut k = 0u32;
-        for &r in &REGVARS {
-            if uses_regvar(f, r) {
-                a.op(Op::Load {
-                    size: MemSize::B4,
-                    signed: true,
-                    rd: r,
-                    base: SP,
-                    off: (save_sp + 4 * k) as i16,
-                });
-                k += 1;
-            }
-        }
+        risc::restore_regvars(a, f, SP, &REGVARS);
         let ra_sp = size - a.frame.ra_offset.expect("mips saves ra");
         a.op(Op::Load { size: MemSize::B4, signed: true, rd: RA, base: SP, off: ra_sp as i16 });
         // The sp adjustment fills ra's load delay slot.
@@ -188,49 +93,10 @@ impl TargetGen for MipsGen {
         args: &[(Val, Sfx)],
         _frame: &FrameInfo,
     ) -> CcResult<()> {
-        let mut slot = 0u32;
-        let mut int_args = 0usize;
-        for (v, sfx) in args {
-            let sz = if *sfx == Sfx::D { 8u32 } else { 4 };
-            slot = align_to(slot, sz);
-            match v {
-                Val::F(fr) => {
-                    let size = if *sfx == Sfx::F { FltSize::F4 } else { FltSize::F8 };
-                    a.op(Op::FStore { size, fs: *fr, base: SP, off: slot as i16 });
-                }
-                Val::I(r) => {
-                    if int_args >= ARG_REGS.len() {
-                        return Err(CcError {
-                            pos: Pos::default(),
-                            msg: "too many integer arguments for the MIPS convention".into(),
-                        });
-                    }
-                    a.op(Op::Mov { rd: ARG_REGS[int_args], rs: *r });
-                    int_args += 1;
-                }
-            }
-            slot += sz;
-        }
-        a.push(AsmIns::CallSym(name.to_string()));
-        Ok(())
+        risc::emit_call(a, self.data(), &ARG_REGS, name, args)
     }
 
     fn load_const(&self, a: &mut AsmFn, rd: u8, v: i64) {
-        let v = v as i32;
-        if i16::try_from(v).is_ok() {
-            a.op(Op::LoadImm { rd, imm: v });
-        } else {
-            a.op(Op::LoadUpper { rd, imm: (v as u32 >> 16) as u16 });
-            let lo = (v as u32 & 0xffff) as i16;
-            if lo != 0 {
-                a.op(Op::AluI { op: AluOp::Or, rd, rs: rd, imm: lo });
-            }
-        }
+        risc::load_const(a, rd, v);
     }
-}
-
-/// Does `f` keep any variable in register `r`?
-pub(crate) fn uses_regvar(f: &FuncIr, r: u8) -> bool {
-    f.locals.iter().any(|l| l.storage == Storage::Reg(r))
-        || f.params.iter().any(|p| p.storage == Storage::Reg(r))
 }

@@ -1,17 +1,23 @@
 //! Code generation: a machine-independent tree evaluator parameterized by
 //! a small per-target trait, in the spirit of lcc's code-generation
 //! interface. The per-target modules supply conventions (frames, calls,
-//! branches); everything else is shared.
+//! branches); everything else is shared. The 68020 and VAX share one
+//! stack-argument generator ([`cisc::CiscGen`]) and differ only in
+//! registers; the MIPS and SPARC keep their own link handling and
+//! branches and share the rest of their register-argument conventions
+//! (`risc`).
 
+pub mod cisc;
 pub mod m68k;
 pub mod mips;
+mod risc;
 pub mod sparc;
 pub mod vax;
 
 use crate::asm::{AsmFn, AsmIns, FrameInfo};
 use crate::ir::*;
 use crate::lex::{CcError, CcResult, Pos};
-use crate::types::Sfx;
+use crate::types::{Sfx, Type};
 use ldb_machine::{AluOp, Arch, Cond, FltSize, MachineData, MemSize, Op, Service};
 
 /// Compilation options that affect code generation.
@@ -87,8 +93,8 @@ pub fn target_gen(arch: Arch) -> &'static dyn TargetGen {
     match arch {
         Arch::Mips => &mips::MipsGen,
         Arch::Sparc => &sparc::SparcGen,
-        Arch::M68k => &m68k::M68kGen,
-        Arch::Vax => &vax::VaxGen,
+        Arch::M68k => &m68k::M68K_GEN,
+        Arch::Vax => &vax::VAX_GEN,
     }
 }
 
@@ -208,6 +214,21 @@ fn reg_need(t: &Tree) -> u32 {
 /// Round `v` up to a multiple of `a`.
 pub fn align_to(v: u32, a: u32) -> u32 {
     v.div_ceil(a) * a
+}
+
+/// Is this variable eligible to live in a register?
+fn reg_eligible(ty: &Type, addr_taken: bool) -> bool {
+    !addr_taken
+        && matches!(
+            ty,
+            Type::Int | Type::UInt | Type::Char | Type::UChar | Type::Short | Type::UShort | Type::Ptr(_)
+        )
+}
+
+/// Does `f` keep any variable in register `r`?
+fn uses_regvar(f: &FuncIr, r: u8) -> bool {
+    f.locals.iter().any(|l| l.storage == Storage::Reg(r))
+        || f.params.iter().any(|p| p.storage == Storage::Reg(r))
 }
 
 struct Gen<'a> {

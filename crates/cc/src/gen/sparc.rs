@@ -7,13 +7,12 @@
 //! while the MIPS needs its own.
 
 use crate::asm::{AsmFn, AsmIns, FrameInfo};
-use crate::ir::{FuncIr, Storage};
-use crate::lex::{CcError, CcResult, Pos};
-use crate::types::{Sfx, Type};
-use ldb_machine::{arch, AluOp, Cond, FltSize, MachineData, MemSize, Op};
+use crate::ir::FuncIr;
+use crate::lex::CcResult;
+use crate::types::Sfx;
+use ldb_machine::{arch, AluOp, Cond, MachineData, MemSize, Op};
 
-use super::mips::{reg_eligible, uses_regvar};
-use super::{align_to, TargetGen, Val};
+use super::{align_to, risc, TargetGen, Val};
 
 /// The SPARC code generator.
 pub struct SparcGen;
@@ -44,49 +43,10 @@ impl TargetGen for SparcGen {
     }
 
     fn layout(&self, f: &mut FuncIr, outgoing: u32, spill_bytes: u32) -> FrameInfo {
-        let mut slot = 0u32;
-        for p in &mut f.params {
-            let sz = if p.ty == Type::Double { 8 } else { 4 };
-            slot = align_to(slot, sz);
-            p.storage = Storage::Frame(slot as i32);
-            slot += sz;
-        }
-        let mut next_rv = 0usize;
-        let mut save_mask = 0u32;
-        let mut acc = align_to(outgoing.max(16), 4);
-        let spill_sp = acc;
-        acc += spill_bytes;
-        let mut local_sp: Vec<(usize, u32)> = Vec::new();
-        for (idx, l) in f.locals.iter_mut().enumerate() {
-            if l.storage == Storage::Unassigned {
-                if reg_eligible(&l.ty, l.addr_taken) && next_rv < REGVARS.len() {
-                    let r = REGVARS[next_rv];
-                    next_rv += 1;
-                    save_mask |= 1 << r;
-                    l.storage = Storage::Reg(r);
-                    continue;
-                }
-                let a = l.ty.align().max(4);
-                acc = align_to(acc, a);
-                local_sp.push((idx, acc));
-                acc += l.ty.size().max(4);
-            }
-        }
-        let save_sp = align_to(acc, 4);
-        acc = save_sp + 4 * next_rv as u32;
+        let body = risc::layout(f, outgoing, spill_bytes, &REGVARS);
         // ra at size-8, old fp at size-4.
-        let ra_sp = align_to(acc, 4);
-        let size = align_to(ra_sp + 8, 8);
-        for (idx, sp_off) in local_sp {
-            f.locals[idx].storage = Storage::Frame(sp_off as i32 - size as i32);
-        }
-        FrameInfo {
-            size,
-            save_mask,
-            save_offset: size - save_sp,
-            ra_offset: Some(8), // fp - 8
-            spill_base: spill_sp as i32 - size as i32,
-        }
+        let size = align_to(body.top + 8, 8);
+        body.finish(f, size, 8) // ra at fp - 8
     }
 
     fn prologue(&self, a: &mut AsmFn, f: &FuncIr) {
@@ -95,53 +55,12 @@ impl TargetGen for SparcGen {
         a.op(Op::Store { size: MemSize::B4, rs: FP, base: SP, off: (size - 4) as i16 });
         a.op(Op::AluI { op: AluOp::Add, rd: FP, rs: SP, imm: size as i16 });
         a.op(Op::Store { size: MemSize::B4, rs: RA, base: FP, off: -8 });
-        let save_sp = size - a.frame.save_offset;
-        let mut k = 0u32;
-        for &r in &REGVARS {
-            if uses_regvar(f, r) {
-                a.op(Op::Store {
-                    size: MemSize::B4,
-                    rs: r,
-                    base: SP,
-                    off: (save_sp + 4 * k) as i16,
-                });
-                k += 1;
-            }
-        }
-        let mut int_args = 0usize;
-        for p in &f.params {
-            let Storage::Frame(off) = p.storage else { continue };
-            if p.ty == Type::Double || p.ty == Type::Float {
-                continue;
-            }
-            if int_args < ARG_REGS.len() {
-                a.op(Op::Store {
-                    size: MemSize::B4,
-                    rs: ARG_REGS[int_args],
-                    base: FP,
-                    off: off as i16,
-                });
-                int_args += 1;
-            }
-        }
+        risc::save_regvars(a, f, SP, &REGVARS);
+        risc::home_args(a, f, &ARG_REGS, FP, 0);
     }
 
     fn epilogue(&self, a: &mut AsmFn, f: &FuncIr) {
-        let size = a.frame.size;
-        let save_sp = size - a.frame.save_offset;
-        let mut k = 0u32;
-        for &r in &REGVARS {
-            if uses_regvar(f, r) {
-                a.op(Op::Load {
-                    size: MemSize::B4,
-                    signed: true,
-                    rd: r,
-                    base: SP,
-                    off: (save_sp + 4 * k) as i16,
-                });
-                k += 1;
-            }
-        }
+        risc::restore_regvars(a, f, SP, &REGVARS);
         a.op(Op::Load { size: MemSize::B4, signed: true, rd: RA, base: FP, off: -8 });
         // Restore sp/fp through a scratch so ordering is safe.
         let tmp = ISCRATCH[0];
@@ -173,43 +92,10 @@ impl TargetGen for SparcGen {
         args: &[(Val, Sfx)],
         _frame: &FrameInfo,
     ) -> CcResult<()> {
-        let mut slot = 0u32;
-        let mut int_args = 0usize;
-        for (v, sfx) in args {
-            let sz = if *sfx == Sfx::D { 8u32 } else { 4 };
-            slot = align_to(slot, sz);
-            match v {
-                Val::F(fr) => {
-                    let size = if *sfx == Sfx::F { FltSize::F4 } else { FltSize::F8 };
-                    a.op(Op::FStore { size, fs: *fr, base: SP, off: slot as i16 });
-                }
-                Val::I(r) => {
-                    if int_args >= ARG_REGS.len() {
-                        return Err(CcError {
-                            pos: Pos::default(),
-                            msg: "too many integer arguments for the SPARC convention".into(),
-                        });
-                    }
-                    a.op(Op::Mov { rd: ARG_REGS[int_args], rs: *r });
-                    int_args += 1;
-                }
-            }
-            slot += sz;
-        }
-        a.push(AsmIns::CallSym(name.to_string()));
-        Ok(())
+        risc::emit_call(a, self.data(), &ARG_REGS, name, args)
     }
 
     fn load_const(&self, a: &mut AsmFn, rd: u8, v: i64) {
-        let v = v as i32;
-        if i16::try_from(v).is_ok() {
-            a.op(Op::LoadImm { rd, imm: v });
-        } else {
-            a.op(Op::LoadUpper { rd, imm: (v as u32 >> 16) as u16 });
-            let lo = (v as u32 & 0xffff) as i16;
-            if lo != 0 {
-                a.op(Op::AluI { op: AluOp::Or, rd, rs: rd, imm: lo });
-            }
-        }
+        risc::load_const(a, rd, v);
     }
 }

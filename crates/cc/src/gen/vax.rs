@@ -1,132 +1,18 @@
 //! VAX back end: stack arguments, frame pointer, and an entry save mask —
 //! the CISC conventions again, with the VAX's little-endian byte order and
-//! byte-granular instructions downstream in the encoder.
+//! byte-granular instructions downstream in the encoder. The generator is
+//! the shared CISC one; this port supplies its registers.
 
-use crate::asm::{AsmFn, AsmIns, FrameInfo};
-use crate::ir::{FuncIr, Storage};
-use crate::lex::CcResult;
-use crate::types::{Sfx, Type};
-use ldb_machine::{arch, AluOp, Cond, FltSize, MachineData, Op};
+use ldb_machine::arch;
 
-use super::mips::reg_eligible;
-use super::{align_to, TargetGen, Val};
+use super::cisc::CiscGen;
 
 /// The VAX code generator.
-pub struct VaxGen;
-
-const SP: u8 = 14;
-const FP: u8 = 13;
-const REGVARS: [u8; 6] = [6, 7, 8, 9, 10, 11];
-const ISCRATCH: [u8; 5] = [1, 2, 3, 4, 5];
-const FSCRATCH: [u8; 7] = [1, 2, 3, 4, 5, 6, 7];
-
-impl TargetGen for VaxGen {
-    fn data(&self) -> &'static MachineData {
-        &arch::VAX
-    }
-
-    fn iscratch(&self) -> &'static [u8] {
-        &ISCRATCH
-    }
-
-    fn fscratch(&self) -> &'static [u8] {
-        &FSCRATCH
-    }
-
-    fn regvar_regs(&self) -> &'static [u8] {
-        &REGVARS
-    }
-
-    fn layout(&self, f: &mut FuncIr, _outgoing: u32, spill_bytes: u32) -> FrameInfo {
-        let mut off = 8i32;
-        for p in &mut f.params {
-            let sz = if p.ty == Type::Double { 8 } else { 4 };
-            p.storage = Storage::Frame(off);
-            off += sz;
-        }
-        let mut next_rv = 0usize;
-        let mut save_mask = 0u32;
-        let mut acc = 0u32;
-        for l in &mut f.locals {
-            if l.storage == Storage::Unassigned {
-                if reg_eligible(&l.ty, l.addr_taken) && next_rv < REGVARS.len() {
-                    let r = REGVARS[next_rv];
-                    next_rv += 1;
-                    save_mask |= 1 << r;
-                    l.storage = Storage::Reg(r);
-                    continue;
-                }
-                let al = l.ty.align().max(4);
-                acc = align_to(acc + l.ty.size().max(4), al);
-                l.storage = Storage::Frame(-(acc as i32));
-            }
-        }
-        let spill_base = -(acc as i32) - spill_bytes as i32;
-        let size = align_to(acc + spill_bytes, 4);
-        FrameInfo { size, save_mask, save_offset: size + 4, ra_offset: None, spill_base }
-    }
-
-    fn prologue(&self, a: &mut AsmFn, _f: &FuncIr) {
-        a.op(Op::Link { fp: FP, size: a.frame.size as u16 });
-        if a.frame.save_mask != 0 {
-            a.op(Op::SaveRegs { mask: a.frame.save_mask as u16 });
-        }
-    }
-
-    fn epilogue(&self, a: &mut AsmFn, _f: &FuncIr) {
-        if a.frame.save_mask != 0 {
-            a.op(Op::RestoreRegs { mask: a.frame.save_mask as u16 });
-        }
-        a.op(Op::Unlink { fp: FP });
-        a.op(Op::Ret);
-    }
-
-    fn slot(&self, _frame: &FrameInfo, off: i32) -> (u8, i32) {
-        (FP, off)
-    }
-
-    fn branch(&self, a: &mut AsmFn, cond: Cond, rs: u8, rt: u8, label: u32) {
-        a.op(Op::Cmp { rs, rt });
-        a.push(AsmIns::Bcc { cond, label });
-    }
-
-    fn branch_zero(&self, a: &mut AsmFn, rs: u8, if_zero: bool, label: u32) {
-        a.op(Op::Tst { rs });
-        let cond = if if_zero { Cond::Eq } else { Cond::Ne };
-        a.push(AsmIns::Bcc { cond, label });
-    }
-
-    fn emit_call(
-        &self,
-        a: &mut AsmFn,
-        name: &str,
-        args: &[(Val, Sfx)],
-        _frame: &FrameInfo,
-    ) -> CcResult<()> {
-        let mut bytes = 0i32;
-        for (v, sfx) in args.iter().rev() {
-            match v {
-                Val::I(r) => {
-                    a.op(Op::Push { rs: *r });
-                    bytes += 4;
-                }
-                Val::F(fr) => {
-                    let (size, sz) =
-                        if *sfx == Sfx::F { (FltSize::F4, 4) } else { (FltSize::F8, 8) };
-                    a.op(Op::AluI { op: AluOp::Add, rd: SP, rs: SP, imm: -sz });
-                    a.op(Op::FStore { size, fs: *fr, base: SP, off: 0 });
-                    bytes += sz as i32;
-                }
-            }
-        }
-        a.push(AsmIns::CallSym(name.to_string()));
-        if bytes != 0 {
-            a.op(Op::AluI { op: AluOp::Add, rd: SP, rs: SP, imm: bytes as i16 });
-        }
-        Ok(())
-    }
-
-    fn load_const(&self, a: &mut AsmFn, rd: u8, v: i64) {
-        a.op(Op::LoadImm { rd, imm: v as i32 });
-    }
-}
+pub static VAX_GEN: CiscGen = CiscGen {
+    data: &arch::VAX,
+    sp: 14,
+    fp: 13,
+    regvars: &[6, 7, 8, 9, 10, 11],
+    iscratch: &[1, 2, 3, 4, 5],
+    fscratch: &[1, 2, 3, 4, 5, 6, 7],
+};

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use ldb_machine::{Image, SymKind};
+use ldb_machine::Image;
 
 /// Render the symbol table the way `nm` prints it: address, kind letter,
 /// name — sorted by name, as `nm` sorts.
@@ -106,11 +106,6 @@ pub fn parse_nm_line(line: &str) -> Option<(u32, char, &str)> {
     let kind = parts.next()?.chars().next()?;
     let name = parts.next()?;
     Some((addr, kind, name))
-}
-
-/// The kind letters `nm` prints for private symbols are lowercase.
-pub fn is_private_kind(k: SymKind) -> bool {
-    matches!(k, SymKind::Private)
 }
 
 #[cfg(test)]

@@ -91,18 +91,6 @@ pub fn analyze(ast: &Unit) -> CcResult<UnitIr> {
     Sema::new(None).run(ast)
 }
 
-/// Analyze with an external resolver (the expression-server entry point).
-///
-/// # Errors
-/// As [`analyze`]; unresolved identifiers remain errors when the resolver
-/// declines them.
-pub fn analyze_with_resolver(
-    ast: &Unit,
-    resolver: &mut dyn ExternalResolver,
-) -> CcResult<UnitIr> {
-    Sema::new(Some(resolver)).run(ast)
-}
-
 /// Typecheck and lower a single expression in the context of `resolver`
 /// (every identifier is external). Returns the tree and its type. This is
 /// the expression-server path.

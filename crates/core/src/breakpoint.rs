@@ -196,15 +196,6 @@ impl Breakpoints {
         v
     }
 
-    /// The pc to resume with after stopping at `addr`: the overwritten
-    /// instruction is a no-op, so it is "interpreted" by skipping it.
-    pub fn resume_pc(&self, addr: u32) -> Option<u32> {
-        match self.planted.get(&addr) {
-            Some(p) if p.skip_nop => Some(addr + self.data.pc_advance as u32),
-            _ => None,
-        }
-    }
-
     /// How to resume from the breakpoint at `addr`.
     pub fn resume_kind(&self, addr: u32) -> Option<ResumeKind> {
         self.planted.get(&addr).map(|p| {

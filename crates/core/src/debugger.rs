@@ -991,24 +991,26 @@ impl Ldb {
 
     // ----- breakpoints and execution -----
 
-    /// Plant a breakpoint at stopping point `index` of procedure `func`.
-    ///
-    /// # Errors
-    /// Unknown procedure, missing stopping point, nub failures.
-    pub fn break_at(&mut self, func: &str, index: usize) -> Result<u32, LdbError> {
+    /// The one path that plants a user breakpoint: refuse on a lost wire,
+    /// resolve the address with `at` (which may force symbol tables),
+    /// plant it over a stopping-point no-op ([`Breakpoints::plant`]) or,
+    /// if `anywhere`, with the single-step scheme
+    /// ([`Breakpoints::plant_anywhere`]), then drop cached code and
+    /// journal the plant.
+    fn plant_user(
+        &mut self,
+        anywhere: bool,
+        at: impl FnOnce(&mut Self, usize) -> Result<u32, LdbError>,
+    ) -> Result<u32, LdbError> {
         let id = self.cur_id()?;
         self.ensure_connected(id)?;
-        self.force_pending_for(id, func);
-        let entry = self.targets[id]
-            .loader
-            .proc_entry_by_name(func)
-            .ok_or_else(|| match self.targets[id].loader.quarantine_note() {
-                Some(note) => LdbError::msg(format!("no procedure `{func}` ({note})")),
-                None => LdbError::msg(format!("no procedure `{func}`")),
-            })?;
-        let addr = symtab::stop_addr(&mut self.interp, &entry, index)?;
+        let addr = at(self, id)?;
         let t = &mut self.targets[id];
-        t.breakpoints.plant(&t.client, addr)?;
+        if anywhere {
+            t.breakpoints.plant_anywhere(&t.client, addr)?;
+        } else {
+            t.breakpoints.plant(&t.client, addr)?;
+        }
         t.invalidate_code_cache();
         self.trace.emit(
             Layer::Dbg,
@@ -1019,32 +1021,39 @@ impl Ldb {
         Ok(addr)
     }
 
+    /// Plant a breakpoint at stopping point `index` of procedure `func`.
+    ///
+    /// # Errors
+    /// Unknown procedure, missing stopping point, nub failures.
+    pub fn break_at(&mut self, func: &str, index: usize) -> Result<u32, LdbError> {
+        self.plant_user(false, |ldb, id| {
+            ldb.force_pending_for(id, func);
+            let entry = ldb.targets[id].loader.proc_entry_by_name(func).ok_or_else(|| {
+                match ldb.targets[id].loader.quarantine_note() {
+                    Some(note) => LdbError::msg(format!("no procedure `{func}` ({note})")),
+                    None => LdbError::msg(format!("no procedure `{func}`")),
+                }
+            })?;
+            Ok(symtab::stop_addr(&mut ldb.interp, &entry, index)?)
+        })
+    }
+
     /// Plant a breakpoint at the first stopping point on `line`.
     ///
     /// # Errors
     /// No stopping point on the line; nub failures.
     pub fn break_at_line(&mut self, line: u32) -> Result<u32, LdbError> {
-        let id = self.cur_id()?;
-        self.ensure_connected(id)?;
-        // Line lookups scan every procedure's sourcemap, so all pending
-        // modules must be in.
-        self.force_all_pending(id);
-        let loader = Rc::clone(&self.targets[id].loader);
-        let stops = symtab::stops_at_line(&mut self.interp, &loader, line)?;
-        let Some((entry, index)) = stops.first().cloned() else {
-            return Err(LdbError::msg(format!("no stopping point on line {line}")));
-        };
-        let addr = symtab::stop_addr(&mut self.interp, &entry, index)?;
-        let t = &mut self.targets[id];
-        t.breakpoints.plant(&t.client, addr)?;
-        t.invalidate_code_cache();
-        self.trace.emit(
-            Layer::Dbg,
-            Severity::Info,
-            "plant",
-            &[("target", id.into()), ("addr", addr.into())],
-        );
-        Ok(addr)
+        self.plant_user(false, |ldb, id| {
+            // Line lookups scan every procedure's sourcemap, so all
+            // pending modules must be in.
+            ldb.force_all_pending(id);
+            let loader = Rc::clone(&ldb.targets[id].loader);
+            let stops = symtab::stops_at_line(&mut ldb.interp, &loader, line)?;
+            let Some((entry, index)) = stops.first().cloned() else {
+                return Err(LdbError::msg(format!("no stopping point on line {line}")));
+            };
+            Ok(symtab::stop_addr(&mut ldb.interp, &entry, index)?)
+        })
     }
 
     /// Plant a breakpoint at an arbitrary code address using the
@@ -1053,18 +1062,7 @@ impl Ldb {
     /// # Errors
     /// Nub failures.
     pub fn break_at_pc(&mut self, addr: u32) -> Result<(), LdbError> {
-        let id = self.cur_id()?;
-        self.ensure_connected(id)?;
-        let t = &mut self.targets[id];
-        t.breakpoints.plant_anywhere(&t.client, addr)?;
-        t.invalidate_code_cache();
-        self.trace.emit(
-            Layer::Dbg,
-            Severity::Info,
-            "plant",
-            &[("target", id.into()), ("addr", addr.into())],
-        );
-        Ok(())
+        self.plant_user(true, |_, _| Ok(addr)).map(|_| ())
     }
 
     /// Single-step one target instruction (requires the nub's step
@@ -1092,24 +1090,15 @@ impl Ldb {
     /// # Errors
     /// No stopping point there; nub failures.
     pub fn break_at_file_line(&mut self, file: &str, line: u32) -> Result<u32, LdbError> {
-        let id = self.cur_id()?;
-        self.force_all_pending(id);
-        let loader = Rc::clone(&self.targets[id].loader);
-        let stops = symtab::stops_at_file_line(&mut self.interp, &loader, file, line)?;
-        let Some((entry, index)) = stops.first().cloned() else {
-            return Err(LdbError::msg(format!("no stopping point at {file}:{line}")));
-        };
-        let addr = symtab::stop_addr(&mut self.interp, &entry, index)?;
-        let t = &mut self.targets[id];
-        t.breakpoints.plant(&t.client, addr)?;
-        t.invalidate_code_cache();
-        self.trace.emit(
-            Layer::Dbg,
-            Severity::Info,
-            "plant",
-            &[("target", id.into()), ("addr", addr.into())],
-        );
-        Ok(addr)
+        self.plant_user(false, |ldb, id| {
+            ldb.force_all_pending(id);
+            let loader = Rc::clone(&ldb.targets[id].loader);
+            let stops = symtab::stops_at_file_line(&mut ldb.interp, &loader, file, line)?;
+            let Some((entry, index)) = stops.first().cloned() else {
+                return Err(LdbError::msg(format!("no stopping point at {file}:{line}")));
+            };
+            Ok(symtab::stop_addr(&mut ldb.interp, &entry, index)?)
+        })
     }
 
     /// Remove the breakpoint at `addr`.

@@ -7,7 +7,6 @@
 //! implementation of ldb's linker interface" — which reads the runtime
 //! procedure table out of the target address space.
 
-use crate::amemory::MemError;
 use crate::frame::{
     assemble_dag, parent_aliases, top_aliases, wire_word, Frame, FrameWalker, WalkCtx, WalkError,
     WalkGuard,
@@ -54,12 +53,5 @@ impl FrameWalker for MipsFrame {
             alias,
             meta: Some(parent_meta),
         }))
-    }
-}
-
-impl MipsFrame {
-    /// Exposed for tests: the virtual-frame-pointer rule.
-    pub fn vfp_rule(sp: u32, frame_size: u32) -> Result<u32, MemError> {
-        Ok(sp.wrapping_add(frame_size))
     }
 }

@@ -4,8 +4,12 @@
 //! procedure's symbol-table entry, and the frame's abstract-memory DAG.
 //! "Machine-dependent instances of the class supply only two methods: one
 //! that walks down the stack and one that restores registers from the
-//! stack" — here, the [`FrameWalker`] trait with `top` and `down`.
+//! stack" — here, the [`FrameWalker`] trait with `top` and `down`. The
+//! frame-pointer targets share one walker ([`fp::FpFrame`]) and differ
+//! only in a small layout table; the MIPS, with no frame pointer, keeps
+//! its own.
 
+pub mod fp;
 pub mod m68k;
 pub mod mips;
 pub mod sparc;
@@ -249,9 +253,9 @@ pub fn walk_stack(walker: &dyn FrameWalker, t: &WalkCtx) -> (Vec<Rc<Frame>>, Wal
 pub fn frame_walker(arch: Arch) -> &'static dyn FrameWalker {
     match arch {
         Arch::Mips => &mips::MipsFrame,
-        Arch::Sparc => &sparc::SparcFrame,
-        Arch::M68k => &m68k::M68kFrame,
-        Arch::Vax => &vax::VaxFrame,
+        Arch::Sparc => &sparc::SPARC_FRAME,
+        Arch::M68k => &m68k::M68K_FRAME,
+        Arch::Vax => &vax::VAX_FRAME,
     }
 }
 

@@ -3,58 +3,13 @@
 //! convention); frame metadata comes from the symbol table, through the
 //! machine-independent linker interface shared with the VAX and 68020.
 
-use crate::frame::{
-    assemble_dag, parent_aliases, top_aliases, wire_word, Frame, FrameWalker, WalkCtx, WalkError,
-    WalkGuard,
+use crate::frame::fp::FpFrame;
+
+/// The SPARC frame layout.
+pub static SPARC_FRAME: FpFrame = FpFrame {
+    saved_fp: -4,
+    saved_pc: -8,
+    // The save area rises from fp - save_offset: rank k 4k above it.
+    save_slot: |fp, meta, k| fp - meta.save_offset as i64 + 4 * k as i64,
+    pc_align: 4,
 };
-
-/// The SPARC frame methods.
-pub struct SparcFrame;
-
-impl FrameWalker for SparcFrame {
-    fn top(&self, t: &WalkCtx) -> Result<Frame, WalkError> {
-        let layout = t.data.ctx;
-        let ctx = t.context as i64;
-        let pc = wire_word(&t.wire, ctx + layout.pc_offset as i64)?;
-        let fp = wire_word(&t.wire, ctx + layout.reg(t.data.fp.expect("sparc has fp")) as i64)?;
-        let meta = t.loader.frame_meta(pc, &t.wire);
-        let alias = top_aliases(t, fp);
-        let mem = assemble_dag(&t.wire, alias.clone());
-        Ok(Frame { pc, vfp: fp, level: 0, mem, alias, meta })
-    }
-
-    fn down(&self, t: &WalkCtx, g: &mut WalkGuard, f: &Frame) -> Result<Option<Frame>, WalkError> {
-        if f.vfp == 0 {
-            return Ok(None);
-        }
-        // No meta means unknown code (the pre-main pause stub): fp is not
-        // a frame link we can interpret, so the walk ends cleanly here.
-        if f.meta.is_none() {
-            return Ok(None);
-        }
-        let parent_pc = wire_word(&t.wire, f.vfp as i64 - 8)?;
-        let parent_fp = wire_word(&t.wire, f.vfp as i64 - 4)?;
-        if parent_fp == 0 {
-            return Ok(None); // crt0 zeroes fp: the stack base
-        }
-        let Some(parent_meta) = t.loader.frame_meta(parent_pc, &t.wire) else {
-            return Ok(None);
-        };
-        g.check(f, parent_fp, parent_pc)?;
-        let save_base = f.meta
-            .map(|m| f.vfp as i64 - m.save_offset as i64)
-            .unwrap_or(f.vfp as i64);
-        let alias = parent_aliases(t, f, parent_pc, parent_fp, |rank| {
-            save_base + 4 * rank as i64
-        });
-        let mem = assemble_dag(&t.wire, alias.clone());
-        Ok(Some(Frame {
-            pc: parent_pc,
-            vfp: parent_fp,
-            level: f.level + 1,
-            mem,
-            alias,
-            meta: Some(parent_meta),
-        }))
-    }
-}

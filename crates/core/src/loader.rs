@@ -514,11 +514,6 @@ impl Loader {
             None => Vec::new(),
         }
     }
-
-    /// Share the cached runtime procedure table (tests, figures).
-    pub fn rpt_cache(&self) -> Option<Rpt> {
-        self.rpt.borrow().clone()
-    }
 }
 
 /// A sharable loader.

@@ -7,24 +7,7 @@
 //! gate `scripts/check.sh --soak` enforces at 10k sessions.
 
 use crate::{FleetOutcome, SessionResult};
-
-/// JSON-escape into `out` (the report vocabulary is ASCII tokens and
-/// session names, but names are caller-supplied, so escape properly).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+use ldb_trace::push_json_str;
 
 /// One session as one canonical JSON line.
 pub fn session_json(r: &SessionResult) -> String {

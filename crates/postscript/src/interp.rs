@@ -69,7 +69,6 @@ pub struct Interp {
     /// The prettyprinter driven by the `Put`/`Break`/`Begin`/`End` operators.
     pub pretty: Pretty,
     depth: usize,
-    max_depth: usize,
     /// The most recent runtime error caught by `stopped`.
     pub last_error: Option<RuntimeError>,
     /// The resource budget in force (UNLIMITED unless installed).
@@ -89,6 +88,11 @@ pub struct Interp {
     /// execution steps; a set token aborts the run with `timeout`.
     cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
+
+/// The execution nesting limit: conservative, so deep PostScript
+/// recursion fails cleanly with a `limitcheck` instead of exhausting a
+/// small host thread stack.
+const MAX_DEPTH: usize = 400;
 
 /// How often [`Interp::charge_step`] polls the cancellation token: every
 /// `CANCEL_POLL_MASK + 1` steps (one atomic load amortized over 1024
@@ -120,7 +124,6 @@ impl Interp {
             out: out.clone(),
             pretty: Pretty::new(out),
             depth: 0,
-            max_depth: 400,
             last_error: None,
             budget: Budget::UNLIMITED,
             fuel_used: 0,
@@ -150,13 +153,6 @@ impl Interp {
     /// The current output sink.
     pub fn output(&self) -> Out {
         self.out.clone()
-    }
-
-    /// Change the execution nesting limit. The default (400) is
-    /// conservative so deep PostScript recursion fails cleanly with a
-    /// `limitcheck` instead of exhausting a small host thread stack.
-    pub fn set_max_depth(&mut self, depth: usize) {
-        self.max_depth = depth;
     }
 
     /// Attach (or detach, with [`Trace::off`]) the flight recorder.
@@ -511,23 +507,12 @@ impl Interp {
             .put_name(name, Object::ex(Value::Operator(op)));
     }
 
-    /// Register an operator in an arbitrary dictionary (per-architecture
-    /// dictionaries use this).
-    pub fn register_in(
-        dict: &crate::object::DictRef,
-        name: &str,
-        f: impl Fn(&mut Interp) -> PsResult<()> + 'static,
-    ) {
-        let op = Operator { name: Rc::from(name), f: Rc::new(f) };
-        dict.borrow_mut().put_name(name, Object::ex(Value::Operator(op)));
-    }
-
     // ----- execution -----
 
     pub(crate) fn enter(&mut self) -> PsResult<()> {
         self.charge_step()?;
         self.depth += 1;
-        if self.depth > self.max_depth {
+        if self.depth > MAX_DEPTH {
             self.depth -= 1;
             return Err(PsError::runtime(ErrorKind::LimitCheck, "execution nesting too deep"));
         }

@@ -214,7 +214,9 @@ pub struct Record {
     pub fields: Vec<(Cow<'static, str>, Value)>,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal: quotes, backslashes and
+/// control characters escaped, everything else verbatim.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

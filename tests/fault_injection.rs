@@ -112,6 +112,9 @@ fn reconnect_and_resync(
     // ...while mutating operations refuse with a clear diagnosis.
     let err = ldb.break_at("collatz", 3).unwrap_err().to_string();
     assert!(err.contains("disconnected"), "{arch}: {err}");
+    // Line 9 of `program` is collatz's `steps++`.
+    let by_line = ldb.break_at_file_line("c.c", 9).unwrap_err().to_string();
+    assert_eq!(by_line, err, "{arch}: break_at_file_line while disconnected");
     // The nub preserved the target: reattach over a fresh wire (also
     // lossy, but without the scheduled severance) and recover.
     let wire = {
