@@ -95,17 +95,4 @@ impl AsmFn {
     pub fn op(&mut self, o: Op) {
         self.items.push(AsmIns::Op(o));
     }
-
-    /// Count of instruction items (excludes labels and stop markers).
-    pub fn insn_count(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|i| !matches!(i, AsmIns::Label(_) | AsmIns::StopPoint(_)))
-            .count()
-    }
-
-    /// Count of no-op instructions (the `-g` stopping-point padding).
-    pub fn nop_count(&self) -> usize {
-        self.items.iter().filter(|i| matches!(i, AsmIns::Op(Op::Nop))).count()
-    }
 }

@@ -42,10 +42,6 @@ impl TargetGen for CiscGen {
         self.fscratch
     }
 
-    fn regvar_regs(&self) -> &'static [u8] {
-        self.regvars
-    }
-
     fn layout(&self, f: &mut FuncIr, _outgoing: u32, spill_bytes: u32) -> FrameInfo {
         // Parameters: pushed by the caller, above the saved fp and return
         // address: first argument at fp+8.

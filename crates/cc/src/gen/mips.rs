@@ -42,10 +42,6 @@ impl TargetGen for MipsGen {
         &FSCRATCH
     }
 
-    fn regvar_regs(&self) -> &'static [u8] {
-        &REGVARS
-    }
-
     fn layout(&self, f: &mut FuncIr, outgoing: u32, spill_bytes: u32) -> FrameInfo {
         let body = risc::layout(f, outgoing, spill_bytes, &REGVARS);
         // Return address at the top.

@@ -40,8 +40,6 @@ pub trait TargetGen {
     fn iscratch(&self) -> &'static [u8];
     /// Caller-saved floating scratch registers.
     fn fscratch(&self) -> &'static [u8];
-    /// Callee-saved registers available for register variables.
-    fn regvar_regs(&self) -> &'static [u8];
     /// Integer return-value register.
     fn rv(&self) -> u8 {
         self.data().rv
@@ -98,22 +96,13 @@ pub fn target_gen(arch: Arch) -> &'static dyn TargetGen {
     }
 }
 
-/// Generate assembler form for one function.
+/// Generate assembler form for one function under linker name
+/// `link_name` (static functions get unit-qualified names so multi-unit
+/// programs link).
 ///
 /// # Errors
 /// Expressions too complex for the scratch set, too many register
 /// arguments, and other per-target limits.
-pub fn gen_function(
-    arch: Arch,
-    f: &mut FuncIr,
-    opts: GenOpts,
-) -> CcResult<AsmFn> {
-    let link_name = format!("_{}", f.name);
-    gen_function_named(arch, f, opts, &link_name)
-}
-
-/// As [`gen_function`] with an explicit linker name (static functions get
-/// unit-qualified names so multi-unit programs link).
 pub fn gen_function_named(
     arch: Arch,
     f: &mut FuncIr,
@@ -143,10 +132,14 @@ pub fn gen_function_named(
         debug: opts.debug,
         naive_order: opts.naive_order,
         fconsts: 0,
+        pos: Pos::default(),
     };
     let body = f.body.clone();
     for s in &body {
-        g.stmt(&mut a, s)?;
+        g.stmt(&mut a, s).map_err(|e| match e.pos {
+            Pos { line: 0, col: 0 } => CcError { pos: g.pos, ..e },
+            _ => e,
+        })?;
     }
     a.push(AsmIns::Label(EPILOGUE));
     tg.epilogue(&mut a, f);
@@ -240,6 +233,9 @@ struct Gen<'a> {
     debug: bool,
     naive_order: bool,
     fconsts: u32,
+    /// Source position of the statement being lowered (its stopping
+    /// point's): where a code-generation error is reported.
+    pos: Pos,
 }
 
 /// An addressing mode for a memory operand.
@@ -297,6 +293,8 @@ impl<'a> Gen<'a> {
     fn stmt(&mut self, a: &mut AsmFn, s: &StmtIr) -> CcResult<()> {
         match s {
             StmtIr::Stop(idx) => {
+                let stop = &self.f.stops[*idx as usize];
+                self.pos = Pos { line: stop.line, col: stop.col };
                 a.push(AsmIns::StopPoint(*idx));
                 if self.debug {
                     a.op(Op::Nop);

@@ -38,10 +38,6 @@ impl TargetGen for SparcGen {
         &FSCRATCH
     }
 
-    fn regvar_regs(&self) -> &'static [u8] {
-        &REGVARS
-    }
-
     fn layout(&self, f: &mut FuncIr, outgoing: u32, spill_bytes: u32) -> FrameInfo {
         let body = risc::layout(f, outgoing, spill_bytes, &REGVARS);
         // ra at size-8, old fp at size-4.

@@ -167,11 +167,6 @@ impl Breakpoints {
         Ok(())
     }
 
-    /// Is a breakpoint planted at `addr`?
-    pub fn contains(&self, addr: u32) -> bool {
-        self.planted.contains_key(&addr)
-    }
-
     /// Drop the record of a plant without touching target memory — for
     /// a target that no longer exists.
     pub fn forget(&mut self, addr: u32) {
@@ -205,11 +200,6 @@ impl Breakpoints {
                 ResumeKind::SingleStep { original: p.orig }
             }
         })
-    }
-
-    /// The original instruction recorded for `addr`.
-    pub fn original(&self, addr: u32) -> Option<u64> {
-        self.planted.get(&addr).map(|p| p.orig)
     }
 
     /// Rebuild the set from the nub's plant records (after this debugger

@@ -175,11 +175,6 @@ impl ChaosMemory {
     pub fn stats(&self) -> ChaosStats {
         self.state.borrow().stats
     }
-
-    /// The policy in force.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
-    }
 }
 
 impl AbstractMemory for ChaosMemory {

@@ -17,7 +17,8 @@
 //! drop wires and nub handles) and `list`/`disas` (they need the source
 //! text and the compiled image's byte order).
 
-use crate::debugger::{Ldb, StopEvent};
+use crate::debugger::Ldb;
+use crate::motion::StopEvent;
 use crate::script::{report_stop, trace_report};
 use crate::LdbError;
 

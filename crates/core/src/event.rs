@@ -13,7 +13,8 @@
 
 use std::collections::HashMap;
 
-use crate::debugger::{Ldb, StopEvent};
+use crate::debugger::Ldb;
+use crate::motion::StopEvent;
 use crate::LdbError;
 
 /// What an action wants done after it ran.
@@ -114,17 +115,13 @@ impl Events {
                     }
                 }
                 StopEvent::Fault { .. } => {
-                    match self.on_fault.take() {
-                        None => return Ok(ev),
-                        Some(mut action) => {
-                            let out = action(&mut self.ldb, &ev);
-                            self.on_fault = Some(action);
-                            match out? {
-                                Outcome::Hold => return Ok(ev),
-                                Outcome::Resume => return Ok(ev), // faults do not resume blindly
-                            }
-                        }
+                    // The action runs, but faults never resume blindly.
+                    if let Some(mut action) = self.on_fault.take() {
+                        let out = action(&mut self.ldb, &ev);
+                        self.on_fault = Some(action);
+                        out?;
                     }
+                    return Ok(ev);
                 }
                 _ => return Ok(ev),
             }

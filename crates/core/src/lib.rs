@@ -33,25 +33,30 @@
 
 pub mod amemory;
 pub mod breakpoint;
+mod call;
 pub mod chaos;
 pub mod checkpoint;
 pub mod commands;
 pub mod debugger;
 pub mod event;
+mod expr;
 pub mod frame;
 pub mod loader;
+mod motion;
 pub mod psops;
 pub mod script;
 pub mod session;
 pub mod symtab;
+mod target;
 
 pub use amemory::{AbstractMemory, AliasMemory, CachedMemory, CacheStats, JoinedMemory, MemError, MemRef, RegisterMemory, WireMemory};
 pub use breakpoint::Breakpoints;
 pub use chaos::{ChaosConfig, ChaosMemory, ChaosStats};
 pub use checkpoint::{CheckpointStats, CheckpointStore};
-pub use debugger::{
-    AttachOpts, CallArg, CallReturn, Health, Ldb, PsBudgets, ReloadRow, StopEvent, Target,
-};
+pub use call::{CallArg, CallReturn};
+pub use debugger::{AttachOpts, Ldb, PsBudgets, ReloadRow};
+pub use motion::StopEvent;
+pub use target::{Health, Stop, Target, Watch};
 pub use event::{Events, Outcome};
 pub use frame::{walk_stack, Frame, FrameWalker, WalkCtx, WalkError, WalkGuard, WalkStop, WALK_DEPTH_CAP};
 pub use loader::{precompile_plan, shared_module_cache, FrameMeta, Loader, ModuleTable, Quarantined};

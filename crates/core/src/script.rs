@@ -18,7 +18,8 @@
 
 use ldb_trace::{Layer, Severity};
 
-use crate::debugger::{Ldb, StopEvent};
+use crate::debugger::Ldb;
+use crate::motion::StopEvent;
 use crate::LdbError;
 
 /// Render a stop event as one transcript line (the script runner's

@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ldb_trace::{Layer, Severity};
 
-use crate::debugger::{Health, Ldb};
+use crate::debugger::Ldb;
+use crate::target::Health;
 use crate::script;
 use crate::LdbError;
 

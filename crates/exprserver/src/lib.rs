@@ -10,7 +10,7 @@ pub mod rewrite;
 pub mod server;
 
 pub use rewrite::{rewrite, REWRITE_PRELUDE};
-pub use server::{parse_decl_pattern, parse_symbol_info, spawn, PipeReader, ServerHandle, ToServer};
+pub use server::{parse_decl_pattern, spawn, PipeReader, ServerHandle, ToServer};
 
 /// Escape text for inclusion in a PostScript string literal.
 pub fn escape_ps(s: &str) -> String {

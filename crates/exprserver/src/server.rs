@@ -128,11 +128,7 @@ impl ExternalResolver for PipeResolver<'_> {
 }
 
 /// Parse a symbol-information line: `var E1 int %s[20]`, `func E2 int %s`,
-/// or `notfound`.
-pub fn parse_symbol_info(text: &str) -> Option<ExternalSym> {
-    parse_symbol_info_cached(text, &mut HashMap::new())
-}
-
+/// or `notfound`, caching each declaration pattern's type in `types`.
 fn parse_symbol_info_cached(
     text: &str,
     types: &mut HashMap<String, Type>,

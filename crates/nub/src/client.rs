@@ -151,9 +151,9 @@ fn jittered_backoff(base: Duration, rng: Option<&mut u64>) -> Duration {
     }
 }
 
-/// Running traffic counters for one client, kept since connect (or the
-/// last [`NubClient::reset_metrics`]). Frame byte counts are wire-level:
-/// envelope overhead included, transport length prefix excluded.
+/// Running traffic counters for one client, kept since connect. Frame
+/// byte counts are wire-level: envelope overhead included, transport
+/// length prefix excluded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireMetrics {
     /// Transactions started (one per request, however many attempts).
@@ -247,19 +247,9 @@ impl NubClient {
         self.trace = trace;
     }
 
-    /// The active policy.
-    pub fn config(&self) -> &ClientConfig {
-        &self.cfg
-    }
-
     /// Traffic counters since connect or the last reset.
     pub fn metrics(&self) -> WireMetrics {
         self.metrics
-    }
-
-    /// Zero the traffic counters (e.g. to meter one command).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = WireMetrics::default();
     }
 
     /// Swap the transport under the client, e.g. after the old wire died.
@@ -638,21 +628,6 @@ impl NubClient {
         }
     }
 
-    /// Probe the nub. Returns true if the target is currently executing,
-    /// false if it is stopped (in which case the stop notification is
-    /// also on its way to [`NubClient::wait_event`]).
-    ///
-    /// # Errors
-    /// Connection loss.
-    pub fn ping(&mut self) -> Result<bool, NubError> {
-        match self.transact(&Request::Ping)? {
-            Reply::Running => Ok(true),
-            Reply::Ack => Ok(false),
-            Reply::Error { code } => Err(NubError::Nub(code)),
-            other => Err(NubError::Protocol(format!("{other:?}"))),
-        }
-    }
-
     /// Send a resume-class request and collect its acknowledgement.
     fn resume(&mut self, req: Request) -> Result<(), NubError> {
         match self.transact(&req)? {
@@ -777,14 +752,6 @@ impl NubClient {
             Reply::Error { code } => Err(NubError::Nub(code)),
             other => Err(NubError::Protocol(format!("{other:?}"))),
         }
-    }
-
-    /// Resume the target without waiting.
-    ///
-    /// # Errors
-    /// Connection loss.
-    pub fn continue_only(&mut self) -> Result<(), NubError> {
-        self.resume(Request::Continue)
     }
 
     /// Break the connection; the nub preserves the target's state.

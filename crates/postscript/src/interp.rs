@@ -413,11 +413,6 @@ impl Interp {
 
     // ----- dictionary stack -----
 
-    /// The system dictionary (operators are registered here).
-    pub fn systemdict(&self) -> crate::object::DictRef {
-        Rc::clone(&self.systemdict)
-    }
-
     /// Push a dictionary (the `begin` operator; also how ldb installs a
     /// per-architecture rebinding dictionary).
     pub fn push_dict(&mut self, d: crate::object::DictRef) {

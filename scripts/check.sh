@@ -1,6 +1,10 @@
 #!/bin/sh
 # Repo-wide check: what CI runs, runnable locally too.
 #
+#   structure gate   — in crates/core/src, the nub client's `*_and_wait`
+#                      calls appear only in motion.rs: every command that
+#                      resumes the target runs through its one loop, so a
+#                      change to the wait is made in one place
 #   build (release)  — the tier-1 build
 #   examples         — every examples/*.rs runs to a zero exit (clippy
 #                      only compiles them; this catches run-time breaks)
@@ -57,6 +61,13 @@ for arg in "$@"; do
         *) echo "usage: $0 [--soak]" >&2; exit 2 ;;
     esac
 done
+
+waits=$(grep -rn '_and_wait(' crates/core/src --include='*.rs' | grep -v '^crates/core/src/motion\.rs:' || true)
+if [ -n "$waits" ]; then
+    echo "structure gate: nub waits outside crates/core/src/motion.rs:" >&2
+    echo "$waits" >&2
+    exit 1
+fi
 
 cargo build --release
 for ex in examples/*.rs; do

@@ -277,12 +277,6 @@ impl Daemon {
         &self.cache
     }
 
-    /// The connection-edge counters (tests assert every rejection is
-    /// accounted for).
-    pub fn conn_metrics(&self) -> &Arc<ConnMetrics> {
-        &self.net
-    }
-
     /// Whether `shutdown` has been processed.
     pub fn is_shut_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)

@@ -139,3 +139,33 @@ fn fault_actions_fire() {
     assert!(matches!(ev, StopEvent::Fault { .. }), "{ev:?}");
     assert!(seen.get());
 }
+
+#[test]
+fn watch_scan_honours_breakpoint_conditions() {
+    // A watched continue single-steps; a step that lands on a planted
+    // breakpoint is a hit only when its condition holds. A false
+    // condition steps past the plant, without reporting it, while the
+    // watch keeps reporting every change.
+    let mut ldb = session(Arch::Mips, true);
+    ldb.break_at("main", 1).unwrap();
+    ldb.cont().unwrap();
+    ldb.watch_var("total").unwrap();
+    let addr = ldb.break_at("tick", 1).unwrap();
+    ldb.set_break_condition(addr, Some("k == 3".into())).unwrap();
+    let (mut hits, mut changes) = (0, 0);
+    loop {
+        match ldb.cont_watch().unwrap() {
+            StopEvent::Breakpoint { func, .. } => {
+                assert_eq!(func, "tick");
+                assert_eq!(ldb.print_var("k").unwrap(), "3");
+                hits += 1;
+            }
+            StopEvent::Watchpoint { .. } => changes += 1,
+            StopEvent::Exited(0) => break,
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!((hits, changes), (1, 8));
+    let out = ldb.take_nub_handle(0).unwrap().join.join().unwrap().output;
+    assert_eq!(out, "36\n");
+}

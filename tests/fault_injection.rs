@@ -467,3 +467,105 @@ fn debugger_crash_reattach_recovers_plants() {
         assert_eq!(out, format!("1 {}\n", truth.len()), "{arch}");
     }
 }
+
+/// Attach over a wire severed after `disconnect` frames (never, with
+/// `None`), plant the marathon breakpoint, and take two hits. Returns the
+/// session, the injector's tally, and the breakpoint's address; `None`
+/// when the severance came before the setup was done.
+fn severable(
+    image: &ldb_suite::machine::Image,
+    loader: &str,
+    disconnect: Option<u64>,
+) -> Option<(Ldb, std::sync::Arc<std::sync::Mutex<FaultStats>>, u32)> {
+    let handle = spawn(image, NubConfig { wait_at_pause: true, ..Default::default() });
+    let wire = handle.connect_channel().unwrap();
+    let faulty =
+        FaultyWire::wrap(wire, FaultConfig { disconnect_after: disconnect, ..Default::default() });
+    let stats = faulty.stats_handle();
+    let mut ldb = Ldb::new();
+    let opts = AttachOpts::default();
+    ldb.attach(Box::new(faulty), loader, &[], shared_module_cache(), Some(handle), opts).ok()?;
+    let user = ldb.break_at("collatz", 3).ok()?;
+    ldb.cont().ok()?;
+    ldb.cont().ok()?;
+    Some((ldb, stats, user))
+}
+
+/// `next` or `finish`, the two resumes that plant temporary breakpoints.
+fn temp_motion(ldb: &mut Ldb, cmd: &str) -> Result<StopEvent, LdbError> {
+    match cmd {
+        "n" => ldb.step_over(),
+        _ => ldb.finish().map(|(ev, _)| ev),
+    }
+}
+
+#[test]
+fn severed_resume_leaves_no_temps() {
+    // Sever the wire at every frame of one `n` and one `fin`. Wherever
+    // the loss lands — planting the temps, running, or lifting them —
+    // the target must be flagged disconnected, every resume must refuse
+    // with the same diagnosis as a plant, and a reconnect must leave
+    // exactly the user's breakpoint planted and the marathon on track.
+    let start = 7;
+    let truth = trajectory(start);
+    for arch in [Arch::Mips, Arch::M68k] {
+        let c = compile("c.c", &program(start), arch, CompileOpts::default()).unwrap();
+        let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
+        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let image = &c.linked.image;
+        for cmd in ["n", "fin"] {
+            // Calibrate over an unsevered wire: the frames before and
+            // after the command. (A quiet-wire probe can shift the count
+            // by a frame or two under load; the sweep does not care
+            // where each cut lands.)
+            let (mut ldb, stats, _) = severable(image, &loader, None).expect("clean setup");
+            let first = stats.lock().unwrap().frames;
+            temp_motion(&mut ldb, cmd).unwrap_or_else(|e| panic!("{arch} {cmd}: {e}"));
+            let last = stats.lock().unwrap().frames;
+            let mut failures = 0;
+            for n in first + 1..=last {
+                let what = format!("{arch} {cmd} disconnect={n}");
+                let Some((mut ldb, _, user)) = severable(image, &loader, Some(n)) else { continue };
+                let Err(e) = temp_motion(&mut ldb, cmd) else { continue };
+                failures += 1;
+                assert!(ldb.target(0).disconnected, "{what}: not flagged after: {e}");
+                let refusal = ldb.break_at("collatz", 3).unwrap_err().to_string();
+                assert!(refusal.contains("disconnected"), "{what}: {refusal}");
+                let resumes = [
+                    ("cont", ldb.cont().map(drop)),
+                    ("step_insn", ldb.step_insn().map(drop)),
+                    ("step_over", ldb.step_over().map(drop)),
+                    ("finish", ldb.finish().map(drop)),
+                    ("reverse_step_insn", ldb.reverse_step_insn().map(drop)),
+                    ("cont_watch", ldb.cont_watch().map(drop)),
+                ];
+                for (name, r) in resumes {
+                    let got = r.err().map(|e| e.to_string());
+                    assert_eq!(got.as_deref(), Some(refusal.as_str()), "{what}: {name}");
+                }
+                let wire = ldb.target(0).nub.as_ref().unwrap().connect_channel().unwrap();
+                ldb.reconnect(0, Box::new(wire)).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(ldb.target(0).breakpoints.addresses(), vec![user], "{what}");
+                // The marathon carries on: each hit's `n` matches the
+                // trajectory at its `steps`, one hit after another.
+                let mut hit = None;
+                loop {
+                    match ldb.cont().unwrap_or_else(|e| panic!("{what}: {e}")) {
+                        StopEvent::Breakpoint { addr, .. } if addr == user => {
+                            let k: usize = ldb.print_var("steps").unwrap().parse().unwrap();
+                            assert_eq!(ldb.print_var("n").unwrap(), truth[k].to_string(), "{what}");
+                            if let Some(prev) = hit {
+                                assert_eq!(k, prev + 1, "{what}");
+                            }
+                            hit = Some(k);
+                        }
+                        StopEvent::Exited(0) => break,
+                        ev => panic!("{what}: {ev:?}"),
+                    }
+                }
+                assert_eq!(hit, Some(truth.len() - 1), "{what}");
+            }
+            assert!(failures > 0, "{arch} {cmd}: no severance landed inside the command");
+        }
+    }
+}
