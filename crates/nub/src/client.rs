@@ -850,6 +850,13 @@ mod tests {
     }
 
     #[test]
+    fn seed_zero_schedule_is_pinned() {
+        // Seed 0 draws nothing: the exact doubling, capped at 80 ms.
+        let ms = |v: &[u64]| v.iter().map(|&m| Duration::from_millis(m)).collect::<Vec<_>>();
+        assert_eq!(schedule(0, 8), ms(&[8, 16, 32, 64, 80, 80, 80, 80]));
+    }
+
+    #[test]
     fn different_seeds_desynchronize() {
         let a = schedule(1, 6);
         let b = schedule(2, 6);
