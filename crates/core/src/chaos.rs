@@ -11,46 +11,18 @@
 //! exactly the trust boundary of a corrupted target: the process still
 //! runs, its memory is garbage.
 //!
-//! Like PR 1's `FaultyWire`, every decision comes from a small seeded
-//! PRNG: the same seed yields the same corruption schedule forever, so a
-//! chaos run that breaks the debugger once breaks it the same way under
-//! `--chaos SEED` until the bug is fixed. No wall clock, no OS entropy.
+//! Like the nub's `FaultyWire`, every decision comes from the one seeded
+//! generator, [`ldb_trace::seeded::Rng`]: the same seed yields the same
+//! corruption schedule forever, so a chaos run that breaks the debugger
+//! once breaks it the same way under `--chaos SEED` until the bug is
+//! fixed. No wall clock, no OS entropy.
 
 use std::cell::RefCell;
 
+use ldb_trace::seeded::{parse_spec, Rng};
 use ldb_trace::{Layer, Severity, Trace};
 
 use crate::amemory::{AbstractMemory, MemRef, MemResult};
-
-/// splitmix64, same as the wire fault injector: small, seedable, plenty
-/// random for a corruption schedule.
-#[derive(Debug, Clone)]
-struct ChaosRng {
-    state: u64,
-}
-
-impl ChaosRng {
-    fn new(seed: u64) -> ChaosRng {
-        ChaosRng { state: seed ^ 0x9e37_79b9_7f4a_7c15 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// True with probability `p`.
-    fn hit(&mut self, p: f64) -> bool {
-        p > 0.0 && ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-}
 
 /// How to corrupt, and how often.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,46 +56,26 @@ impl ChaosConfig {
     /// Unknown keys, malformed numbers, or a rate outside `[0, 1]`.
     pub fn parse(spec: &str) -> Result<ChaosConfig, String> {
         let mut cfg = ChaosConfig::default();
-        for (i, part) in spec.split(',').map(str::trim).filter(|p| !p.is_empty()).enumerate() {
-            if i == 0 {
-                if let Ok(seed) = part.parse::<u64>() {
-                    cfg.seed = seed;
-                    continue;
-                }
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("chaos spec item `{part}` is not key=value"))?;
-            match key {
-                "seed" => {
-                    cfg.seed = value.parse().map_err(|_| format!("bad chaos seed `{value}`"))?;
-                }
-                "rate" => {
-                    let r: f64 =
-                        value.parse().map_err(|_| format!("bad chaos rate `{value}`"))?;
-                    if !(0.0..=1.0).contains(&r) {
-                        return Err(format!("chaos rate `{value}` outside [0, 1]"));
-                    }
-                    cfg.rate = r;
-                }
+        cfg.seed = parse_spec("chaos", spec, |item| {
+            match item.key {
+                "rate" => cfg.rate = item.prob()?,
                 // The minimizer's window, spelled `window=lo..hi` (half
                 // open, in corruption-schedule indices).
                 "window" => {
-                    let (lo, hi) = value
-                        .split_once("..")
-                        .ok_or_else(|| format!("chaos window `{value}` is not lo..hi"))?;
-                    let lo: u64 =
-                        lo.parse().map_err(|_| format!("bad chaos window start `{lo}`"))?;
-                    let hi: u64 =
-                        hi.parse().map_err(|_| format!("bad chaos window end `{hi}`"))?;
+                    let bad =
+                        || format!("chaos window `{}` is not lo..hi with lo < hi", item.value);
+                    let (lo, hi) = item.value.split_once("..").ok_or_else(bad)?;
+                    let (lo, hi): (u64, u64) =
+                        (lo.parse().map_err(|_| bad())?, hi.parse().map_err(|_| bad())?);
                     if lo >= hi {
-                        return Err(format!("chaos window `{value}` is empty"));
+                        return Err(bad());
                     }
                     cfg.window = Some((lo, hi));
                 }
-                other => return Err(format!("unknown chaos key `{other}`")),
+                _ => return Err(item.unknown()),
             }
-        }
+            Ok(())
+        })?;
         Ok(cfg)
     }
 }
@@ -148,7 +100,7 @@ pub struct ChaosStats {
 const MODES: [&str; 4] = ["selfpoint", "bitflip", "zero", "garbage"];
 
 struct ChaosState {
-    rng: ChaosRng,
+    rng: Rng,
     stats: ChaosStats,
 }
 
@@ -167,7 +119,8 @@ impl ChaosMemory {
     /// Wrap `inner` with the given corruption policy, journaling every
     /// corruption as a [`Layer::Dbg`] `chaos` record.
     pub fn new(inner: MemRef, cfg: ChaosConfig, trace: Trace) -> ChaosMemory {
-        let state = RefCell::new(ChaosState { rng: ChaosRng::new(cfg.seed), stats: ChaosStats::default() });
+        let state =
+            RefCell::new(ChaosState { rng: Rng::new(cfg.seed), stats: ChaosStats::default() });
         ChaosMemory { inner, cfg, state, trace }
     }
 

@@ -18,25 +18,15 @@
 //! - the names — never the values — of the session's nonzero health
 //!   counters.
 //!
-//! The key is hashed with FNV-1a 64 to a 16-hex-digit bucket id. The
+//! The key is hashed with FNV-1a 64 ([`ldb_trace::fnv1a`], the same
+//! hash as the module-cache key) to a 16-hex-digit bucket id. The
 //! key itself rides along in reports so a human can read *why* two
 //! sessions collided.
 //!
 //! [`WalkStop`]: ldb_core::WalkStop
 
 use ldb_core::Health;
-
-/// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms
-/// (this is a report format, not a hash table: DoS resistance is not a
-/// requirement, cross-run stability is).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use ldb_trace::fnv1a;
 
 /// Normalize one transcript line: any whitespace-separated token
 /// containing a digit becomes `#`. `fault: SIGSEGV (code 0x10)` and

@@ -25,7 +25,9 @@
 //!   chaos-induced crashes) are never retried: rerunning a pure function
 //!   cannot change its value, and booking retries against them would
 //!   hide real bugs. Each retry bumps the fault seed by the attempt
-//!   number, so the retry schedule itself is deterministic.
+//!   number, so the retry schedule itself is deterministic. A spec whose
+//!   rates are all 0 (a bare `disconnect_after`) draws nothing from its
+//!   seed, so its retries rerun the same schedule.
 //! - **Crash bucketing** ([`bucket`]): failures hash to a stable bucket
 //!   id built from *typed* evidence — the outcome token, the walk-stop
 //!   kinds, digit-normalized error lines, and the names of nonzero
@@ -344,9 +346,10 @@ fn attempt_builder(
         let wire = handle
             .connect_channel()
             .map_err(|e| LdbError::msg(format!("connect: {e}")))?;
-        // A retried attempt replays against a *different* fault schedule
-        // — that is what makes the fault transient — but a deterministic
-        // one: seed + attempt, nothing drawn from the clock.
+        // A retried attempt reseeds the fault schedule with seed +
+        // attempt, nothing drawn from the clock. Only a spec that draws
+        // (a nonzero rate) gets a different schedule; a bare
+        // `disconnect_after` severs at the same frame every attempt.
         let fault = fault.map(|mut cfg| {
             cfg.seed = cfg.seed.wrapping_add(u64::from(attempt));
             cfg

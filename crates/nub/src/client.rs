@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ldb_trace::seeded::splitmix64;
 use ldb_trace::{Layer, Severity, Trace};
 
 use crate::proto::{Envelope, Reply, Request, Sig};
@@ -104,7 +105,7 @@ pub struct ClientConfig {
     /// Seed for deterministic retransmission jitter. `0` (the default)
     /// keeps the exact exponential schedule; any other value spreads each
     /// backoff sleep over `[backoff/2, backoff]` with a per-client
-    /// xorshift sequence, so N clients sharing a lossy link do not
+    /// splitmix64 sequence, so N clients sharing a lossy link do not
     /// retransmit in lockstep. Jitter only ever *shortens* a sleep, so a
     /// transaction always stays within the configured retry budget.
     pub jitter_seed: u64,
@@ -122,16 +123,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// One step of the xorshift64* sequence the jittered backoff draws from.
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
 /// The sleep before a retransmission: exactly `base` without jitter
 /// (`rng == None`), otherwise a deterministic draw from
 /// `[base/2, base]` — never longer than `base`, so the total retry
@@ -146,7 +137,7 @@ fn jittered_backoff(base: Duration, rng: Option<&mut u64>) -> Duration {
             if span_us == 0 {
                 return base;
             }
-            half + Duration::from_micros(xorshift64(state) % (span_us + 1))
+            half + Duration::from_micros(splitmix64(state) % (span_us + 1))
         }
     }
 }

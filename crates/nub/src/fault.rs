@@ -3,10 +3,11 @@
 //! [`FaultyWire`] wraps any [`Wire`] and injects the failures a remote
 //! debugging session actually meets: dropped frames, flipped bytes,
 //! truncation, duplicated frames, artificial latency, and a hard
-//! disconnect after a set number of frames. Every decision comes from a
-//! small seeded PRNG — the same seed always yields the same fault
-//! schedule, so a stress run that fails once fails the same way forever.
-//! There is no wall-clock or OS entropy anywhere in the schedule.
+//! disconnect after a set number of frames. Every decision comes from the
+//! one seeded generator, [`ldb_trace::seeded::Rng`] — the same seed
+//! always yields the same fault schedule, so a stress run that fails once
+//! fails the same way forever. There is no wall-clock or OS entropy
+//! anywhere in the schedule.
 //!
 //! The wrapper lives on the debugger's side of the connection. A hard
 //! disconnect *drops the inner wire*, which the nub's end observes as a
@@ -19,42 +20,14 @@ use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ldb_trace::seeded::{parse_spec, Rng};
 use ldb_trace::{Layer, Severity, Trace};
 
 use crate::transport::Wire;
 
-/// splitmix64: small, seedable, and plenty random for fault schedules.
-#[derive(Debug, Clone)]
-struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    fn new(seed: u64) -> FaultRng {
-        FaultRng { state: seed ^ 0x9e37_79b9_7f4a_7c15 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// True with probability `p`.
-    fn hit(&mut self, p: f64) -> bool {
-        p > 0.0 && ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-}
-
 /// What to inject, and how often. All probabilities are per frame, in
-/// `[0, 1]`.
-#[derive(Debug, Clone, PartialEq)]
+/// `[0, 1]`. The default injects nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultConfig {
     /// PRNG seed; the whole fault schedule is a pure function of it.
     pub seed: u64,
@@ -73,72 +46,29 @@ pub struct FaultConfig {
     pub disconnect_after: Option<u64>,
 }
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            drop: 0.0,
-            corrupt: 0.0,
-            truncate: 0.0,
-            duplicate: 0.0,
-            delay_ms: 0,
-            disconnect_after: None,
-        }
-    }
-}
-
 impl FaultConfig {
-    /// Parse a `key=value,…` spec, e.g.
-    /// `seed=42,drop=0.1,corrupt=0.05,dup=0.02,truncate=0.01,delay=2,disconnect=400`.
+    /// Parse a `--fault` spec: an optional leading bare seed, then
+    /// `key=value` items, e.g.
+    /// `seed=42,drop=0.1,corrupt=0.05,dup=0.02,truncate=0.01,delay=2,disconnect=400`
+    /// or `42,drop=0.1`.
     ///
     /// # Errors
     /// Unknown keys, malformed numbers, or probabilities outside `[0, 1]`.
     pub fn parse(spec: &str) -> Result<FaultConfig, String> {
         let mut cfg = FaultConfig::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec item `{part}` is not key=value"))?;
-            let prob = |v: &str| -> Result<f64, String> {
-                let p: f64 =
-                    v.parse().map_err(|_| format!("bad number `{v}` for fault `{key}`"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("fault probability `{key}={v}` outside [0, 1]"));
-                }
-                Ok(p)
-            };
-            match key {
-                "seed" => {
-                    cfg.seed =
-                        value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-                }
-                "drop" => cfg.drop = prob(value)?,
-                "corrupt" => cfg.corrupt = prob(value)?,
-                "truncate" => cfg.truncate = prob(value)?,
-                "dup" | "duplicate" => cfg.duplicate = prob(value)?,
-                "delay" | "delay_ms" => {
-                    cfg.delay_ms =
-                        value.parse().map_err(|_| format!("bad delay `{value}`"))?;
-                }
-                "disconnect" | "disconnect_after" => {
-                    cfg.disconnect_after = Some(
-                        value.parse().map_err(|_| format!("bad disconnect `{value}`"))?,
-                    );
-                }
-                other => return Err(format!("unknown fault key `{other}`")),
+        cfg.seed = parse_spec("fault", spec, |item| {
+            match item.key {
+                "drop" => cfg.drop = item.prob()?,
+                "corrupt" => cfg.corrupt = item.prob()?,
+                "truncate" => cfg.truncate = item.prob()?,
+                "dup" | "duplicate" => cfg.duplicate = item.prob()?,
+                "delay" | "delay_ms" => cfg.delay_ms = item.num()?,
+                "disconnect" | "disconnect_after" => cfg.disconnect_after = Some(item.num()?),
+                _ => return Err(item.unknown()),
             }
-        }
+            Ok(())
+        })?;
         Ok(cfg)
-    }
-
-    /// True if this config can never perturb a frame.
-    pub fn is_benign(&self) -> bool {
-        self.drop == 0.0
-            && self.corrupt == 0.0
-            && self.truncate == 0.0
-            && self.duplicate == 0.0
-            && self.delay_ms == 0
-            && self.disconnect_after.is_none()
     }
 }
 
@@ -163,7 +93,7 @@ pub struct FaultStats {
 pub struct FaultyWire {
     inner: Option<Box<dyn Wire>>,
     cfg: FaultConfig,
-    rng: FaultRng,
+    rng: Rng,
     /// Shared so callers can keep reading the tally after the wire is
     /// boxed into a client (see [`FaultyWire::stats_handle`]).
     stats: Arc<Mutex<FaultStats>>,
@@ -179,7 +109,7 @@ impl FaultyWire {
     pub fn new(inner: Box<dyn Wire>, cfg: FaultConfig) -> FaultyWire {
         FaultyWire {
             inner: Some(inner),
-            rng: FaultRng::new(cfg.seed),
+            rng: Rng::new(cfg.seed),
             cfg,
             stats: Arc::new(Mutex::new(FaultStats::default())),
             pending_dup: None,
@@ -386,6 +316,9 @@ mod tests {
         assert_eq!(cfg.duplicate, 0.02);
         assert_eq!(cfg.delay_ms, 3);
         assert_eq!(cfg.disconnect_after, Some(400));
+        // A leading bare seed, as `--chaos` takes.
+        let cfg = FaultConfig::parse("7,drop=0.5").unwrap();
+        assert_eq!((cfg.seed, cfg.drop), (7, 0.5));
     }
 
     #[test]
@@ -394,7 +327,7 @@ mod tests {
         assert!(FaultConfig::parse("drop=2.0").is_err());
         assert!(FaultConfig::parse("bogus=1").is_err());
         assert!(FaultConfig::parse("seed=abc").is_err());
-        assert!(FaultConfig::parse("").unwrap().is_benign());
+        assert_eq!(FaultConfig::parse("").unwrap(), FaultConfig::default());
     }
 
     #[test]

@@ -345,16 +345,6 @@ fn is_word_char(c: char) -> bool {
     !c.is_whitespace() && !matches!(c, '(' | ')' | '<' | '>' | '[' | ']' | '{' | '}' | '%')
 }
 
-/// FNV-1a, 64-bit: the content half of the module-cache key.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Compile one module's symbol-table PostScript: a single scanner pass
 /// (bounded by the scanner's own token/nesting caps — no interpretation,
 /// no fuel), producing an immutable, shareable [`CompiledModule`].
@@ -472,7 +462,7 @@ impl ModuleCache {
     /// Compile (scanner) errors; failed compiles are not cached, so a
     /// transiently corrupt artifact does not poison the key.
     pub fn get_or_compile(&self, name: &str, source: &str) -> PsResult<(Arc<CompiledModule>, bool)> {
-        let key = (fnv1a(source.as_bytes()), source.len());
+        let key = (ldb_trace::fnv1a(source.as_bytes()), source.len());
         let slot = Arc::clone(lock(&self.shared.entries).entry(key).or_default());
         let mut filled = lock(&slot);
         if let Some(m) = &*filled {

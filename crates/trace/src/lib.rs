@@ -29,6 +29,9 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+pub mod seeded;
+pub use seeded::fnv1a;
+
 /// Version stamped into every record as `"v"`. Bump when the record
 /// shape changes; [`Record::parse`] rejects other versions.
 pub const SCHEMA_VERSION: u64 = 1;

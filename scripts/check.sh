@@ -4,7 +4,13 @@
 #   structure gate   — in crates/core/src, the nub client's `*_and_wait`
 #                      calls appear only in motion.rs: every command that
 #                      resumes the target runs through its one loop, so a
-#                      change to the wait is made in one place
+#                      change to the wait is made in one place; and in
+#                      crates/*/src and src/, the splitmix64 increment and
+#                      the FNV-1a/64 offset basis appear only in
+#                      ldb-trace's seeded.rs: one generator and one hash
+#                      behind every seeded schedule, cache key and bucket
+#                      id (proto.rs's 32-bit frame checksum is wire format
+#                      and uses neither constant)
 #   build (release)  — the tier-1 build
 #   examples         — every examples/*.rs runs to a zero exit (clippy
 #                      only compiles them; this catches run-time breaks)
@@ -66,6 +72,14 @@ waits=$(grep -rn '_and_wait(' crates/core/src --include='*.rs' | grep -v '^crate
 if [ -n "$waits" ]; then
     echo "structure gate: nub waits outside crates/core/src/motion.rs:" >&2
     echo "$waits" >&2
+    exit 1
+fi
+
+seeded=$(grep -rniE '0x9e37_?79b9_?7f4a_?7c15|0xcbf2_?9ce4_?8422_?2325' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/trace/src/seeded\.rs:' || true)
+if [ -n "$seeded" ]; then
+    echo "structure gate: splitmix64 / FNV-1a copies outside crates/trace/src/seeded.rs:" >&2
+    echo "$seeded" >&2
     exit 1
 fi
 

@@ -21,7 +21,8 @@
 //! failed *invocation*.)
 //!
 //! `--fault` wraps the debugger's wire in a deterministic fault injector
-//! (keys: seed, drop, corrupt, truncate, dup, delay, disconnect); the
+//! (an optional leading bare seed, as `--chaos` takes, then keys: seed,
+//! drop, corrupt, truncate, dup, delay, disconnect); the
 //! hardened protocol retries through drops and corruption, and after a
 //! `disconnect=N` severance the `reconnect` command resumes the session.
 //!

@@ -27,7 +27,7 @@
 //! chunk past the cap) — here the megabyte-line test confirms the
 //! quarantine that bound implies.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -37,7 +37,8 @@ use std::time::Duration;
 use ldb_suite::core::Ldb;
 use ldb_suite::daemon::{self, Daemon, DaemonClient, DaemonConfig, RetryPolicy};
 use ldb_suite::machine::Arch;
-use ldb_suite::net::{ChaosClient, ChaosOutcome, ChaosScenario, ConnLimits};
+use ldb_suite::net::{BoundedLineReader, ConnLimits, LineOutcome, DRAIN_BUDGET_MULT};
+use ldb_suite::trace::seeded::splitmix64;
 use ldb_suite::trace::{Layer, Trace};
 use proptest::prelude::*;
 
@@ -622,4 +623,241 @@ proptest! {
         let _ = probe.request("shutdown");
         serving.join().unwrap().unwrap();
     }
+}
+
+// ---------------------------------------------------------------------
+// The hostile client: a seeded misbehaving TCP client, the service-edge
+// sibling of the nub's `FaultyWire`.
+// ---------------------------------------------------------------------
+
+/// What one hostile connection did and saw — the harness asserts over
+/// these in aggregate: every reply the server produced was well-formed,
+/// and every ending was a reply or a clean hangup, never a wedge.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ChaosOutcome {
+    /// Newline-terminated requests this client sent (well- or
+    /// ill-formed).
+    pub requests_sent: u64,
+    /// `ok …` replies received.
+    pub replies_ok: u64,
+    /// `err …` replies received.
+    pub replies_err: u64,
+    /// Reply lines that were neither — must stay zero.
+    pub malformed_replies: u64,
+    /// The server hung up (expected for quarantine/flood scenarios).
+    pub hangups: u64,
+}
+
+/// A seeded misbehaving client — the TCP-side sibling of the nub's
+/// `FaultyWire`. Each [`ChaosClient::run`] opens one connection and
+/// replays a seed-determined scenario against it: drip-fed valid
+/// requests, garbage bytes (invalid UTF-8, NULs, bare `\r` framing),
+/// oversized lines, abrupt mid-line disconnects, or a slow-loris
+/// unterminated drip. It never panics; everything it observed comes back
+/// as a [`ChaosOutcome`].
+#[derive(Debug)]
+pub struct ChaosClient {
+    addr: SocketAddr,
+    rng: u64,
+}
+
+/// The scenario a seed maps to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosScenario {
+    /// Valid requests written one byte at a time with micro-stalls.
+    Drip,
+    /// Random garbage lines: invalid UTF-8, NULs, bare `\r`.
+    Garbage,
+    /// Lines past the request cap (repeat offenses court quarantine).
+    Oversize,
+    /// Half a request, then an abrupt disconnect.
+    Truncate,
+    /// An unterminated line fed a few bytes at a time, forever (until
+    /// the server gives up).
+    SlowLoris,
+}
+
+impl ChaosScenario {
+    /// All scenarios, in seed order.
+    pub const ALL: [ChaosScenario; 5] = [
+        ChaosScenario::Drip,
+        ChaosScenario::Garbage,
+        ChaosScenario::Oversize,
+        ChaosScenario::Truncate,
+        ChaosScenario::SlowLoris,
+    ];
+}
+
+impl ChaosClient {
+    /// A client that will attack `addr` with the scenario `seed` maps
+    /// to.
+    pub fn new(addr: SocketAddr, seed: u64) -> ChaosClient {
+        ChaosClient { addr, rng: seed.max(1) }
+    }
+
+    /// The scenario this client's seed selects.
+    pub fn scenario(&self) -> ChaosScenario {
+        ChaosScenario::ALL[(self.rng as usize) % ChaosScenario::ALL.len()]
+    }
+
+    /// The next draw: splitmix64 straight from the raw seed, so each
+    /// seed keeps its scenario and its draw order.
+    fn next(&mut self) -> u64 {
+        splitmix64(&mut self.rng)
+    }
+
+    /// Open one connection and run the scenario to completion. Socket
+    /// errors are expected outcomes (the server is allowed — sometimes
+    /// required — to hang up on us) and are folded into the outcome.
+    pub fn run(&mut self, request_cap: usize) -> ChaosOutcome {
+        let scenario = self.scenario();
+        let mut out = ChaosOutcome::default();
+        let Ok(stream) = TcpStream::connect(self.addr) else {
+            out.hangups += 1;
+            return out;
+        };
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+        let _ = stream.set_nodelay(true);
+        let mut reader = match stream.try_clone() {
+            Ok(s) => BoundedLineReader::new(s, 1 << 20),
+            Err(_) => {
+                out.hangups += 1;
+                return out;
+            }
+        };
+        let mut writer = stream;
+        match scenario {
+            ChaosScenario::Drip => {
+                for _ in 0..2 + self.next() % 3 {
+                    if !self.drip(&mut writer, b"ping\n", &mut out) {
+                        return out;
+                    }
+                    out.requests_sent += 1;
+                    self.read_reply(&mut reader, &mut out);
+                }
+            }
+            ChaosScenario::Garbage => {
+                for _ in 0..2 + self.next() % 4 {
+                    let mut line: Vec<u8> = (0..1 + self.next() % 64)
+                        .map(|_| {
+                            // Anything but the terminator: invalid UTF-8
+                            // continuation bytes, NULs, bare CRs.
+                            let b = (self.next() % 256) as u8;
+                            if b == b'\n' {
+                                0xff
+                            } else {
+                                b
+                            }
+                        })
+                        .collect();
+                    line.push(b'\n');
+                    if writer.write_all(&line).is_err() {
+                        out.hangups += 1;
+                        return out;
+                    }
+                    out.requests_sent += 1;
+                    if !self.read_reply(&mut reader, &mut out) {
+                        return out;
+                    }
+                }
+            }
+            ChaosScenario::Oversize => {
+                // Keep offending until the server quarantines us.
+                for _ in 0..8 {
+                    let mut line = vec![b'x'; request_cap + 64];
+                    line.push(b'\n');
+                    if writer.write_all(&line).is_err() {
+                        out.hangups += 1;
+                        return out;
+                    }
+                    out.requests_sent += 1;
+                    if !self.read_reply(&mut reader, &mut out) {
+                        return out;
+                    }
+                }
+            }
+            ChaosScenario::Truncate => {
+                let cut = 1 + (self.next() as usize) % 4;
+                let _ = writer.write_all(&b"open mips"[..cut.min(9)]);
+                let _ = writer.shutdown(std::net::Shutdown::Both);
+                out.hangups += 1;
+            }
+            ChaosScenario::SlowLoris => {
+                // An unterminated line, a few bytes at a time, until the
+                // server stops accepting them. Bounded by the drain
+                // budget: the server must flood-quarantine us long
+                // before this loop ends on its own.
+                let chunk = vec![b'z'; 256.max(request_cap / 8)];
+                for _ in 0..DRAIN_BUDGET_MULT * 16 {
+                    if writer.write_all(&chunk).is_err() {
+                        out.hangups += 1;
+                        return out;
+                    }
+                    std::thread::sleep(Duration::from_millis(1 + self.next() % 3));
+                }
+                // Server never hung up: finish the line and see what it
+                // says.
+                let _ = writer.write_all(b"\n");
+                out.requests_sent += 1;
+                self.read_reply(&mut reader, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Write `bytes` one byte at a time with seed-sized stalls; `false`
+    /// means the server hung up mid-write.
+    fn drip(&mut self, writer: &mut TcpStream, bytes: &[u8], out: &mut ChaosOutcome) -> bool {
+        for &b in bytes {
+            if writer.write_all(&[b]).is_err() {
+                out.hangups += 1;
+                return false;
+            }
+            if self.next().is_multiple_of(4) {
+                std::thread::sleep(Duration::from_millis(self.next() % 3));
+            }
+        }
+        true
+    }
+
+    /// Read one reply line and classify it; `false` means hangup (or
+    /// nothing arrived before the timeout, which the caller treats the
+    /// same — stop talking).
+    fn read_reply<R: Read>(&mut self, reader: &mut BoundedLineReader<R>, out: &mut ChaosOutcome) -> bool {
+        match reader.read_line() {
+            LineOutcome::Line(bytes) => {
+                let line = String::from_utf8_lossy(&bytes);
+                if line.starts_with("ok ") || line == "ok" {
+                    out.replies_ok += 1;
+                } else if line.starts_with("err ") {
+                    out.replies_err += 1;
+                } else {
+                    out.malformed_replies += 1;
+                }
+                true
+            }
+            LineOutcome::Eof | LineOutcome::Err(_) => {
+                out.hangups += 1;
+                false
+            }
+            LineOutcome::TimedOut => false,
+            LineOutcome::Oversized { .. } | LineOutcome::Flooded { .. } => {
+                out.malformed_replies += 1;
+                false
+            }
+        }
+    }
+}
+
+#[test]
+fn chaos_seeds_cover_every_scenario() {
+    let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+    let mut seen = [false; ChaosScenario::ALL.len()];
+    for seed in 1..=32u64 {
+        let c = ChaosClient::new(addr, seed);
+        let i = ChaosScenario::ALL.iter().position(|&s| s == c.scenario()).unwrap();
+        seen[i] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "seeds 1..=32 miss a scenario: {seen:?}");
 }
