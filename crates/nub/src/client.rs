@@ -157,6 +157,18 @@ pub struct WireMetrics {
     pub bytes_received: u64,
 }
 
+/// What one inbound frame was, once [`NubClient::take_inbound`] has
+/// counted and journaled it.
+enum Inbound {
+    /// The reply to the transaction in flight.
+    Reply(Reply),
+    /// A stop/exit event (queued) or a stale reply (dropped).
+    Handled,
+    /// Corruption, a stray request, or a bare frame such as the connect
+    /// announcement: dropped.
+    Junk,
+}
+
 /// The debugger's connection to one nub.
 pub struct NubClient {
     wire: Box<dyn Wire>,
@@ -220,13 +232,6 @@ impl NubClient {
     /// Whether the installed cancellation token has been set.
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// The typed cancellation error: distinct from [`NubError::Timeout`]
-    /// because the wire is still good — callers must not treat a
-    /// watchdog kill as a lost connection.
-    fn cancel_error(&self) -> NubError {
-        NubError::Cancelled
     }
 
     /// Attach (or detach, with [`Trace::off`]) the flight recorder. The
@@ -307,6 +312,43 @@ impl NubClient {
         self.pending_events.push_back(event);
     }
 
+    /// Take one inbound frame: count its bytes, journal one `recv` record
+    /// with its disposition, and queue it if it is an event. `want` is the
+    /// sequence number of the transaction in flight, if any; a reply to
+    /// any other is stale.
+    fn take_inbound(&mut self, raw: &[u8], want: Option<u32>) -> Inbound {
+        let len = raw.len();
+        self.metrics.bytes_received += len as u64;
+        match Envelope::decode(raw) {
+            Some(Envelope::Reply { seq, reply }) if Some(seq) == want => {
+                let f = [
+                    ("disp", "reply".into()),
+                    ("seq", seq.into()),
+                    ("reply", reply.kind_name().into()),
+                    ("len", len.into()),
+                ];
+                self.trace.emit(Layer::Wire, Severity::Debug, "recv", &f);
+                Inbound::Reply(reply)
+            }
+            Some(Envelope::Reply { seq, .. }) => {
+                let f = [("disp", "stale".into()), ("seq", seq.into()), ("len", len.into())];
+                self.trace.emit(Layer::Wire, Severity::Debug, "recv", &f);
+                Inbound::Handled
+            }
+            Some(Envelope::Event { generation, reply }) => {
+                let f = [("disp", "event".into()), ("gen", generation.into()), ("len", len.into())];
+                self.trace.emit(Layer::Wire, Severity::Debug, "recv", &f);
+                self.note_event(generation, reply);
+                Inbound::Handled
+            }
+            Some(Envelope::Req { .. }) | None => {
+                let f = [("disp", "junk".into()), ("len", len.into())];
+                self.trace.emit(Layer::Wire, Severity::Warn, "recv", &f);
+                Inbound::Junk
+            }
+        }
+    }
+
     /// One at-most-once transaction: send the sequenced request, collect
     /// its reply, retransmitting within the configured budget. Corrupted,
     /// stale, and duplicated inbound frames are discarded; events that
@@ -320,7 +362,7 @@ impl NubClient {
         self.metrics.transactions += 1;
         for attempt in 0..=self.cfg.retries {
             if self.cancelled() {
-                return Err(self.cancel_error());
+                return Err(NubError::Cancelled);
             }
             if attempt > 0 {
                 self.metrics.retransmits += 1;
@@ -367,68 +409,10 @@ impl NubClient {
                     break; // this attempt's budget is spent: retransmit
                 }
                 let Some(raw) = self.wire.recv_timeout(left)? else { break };
-                self.metrics.bytes_received += raw.len() as u64;
-                match Envelope::decode(&raw) {
-                    Some(Envelope::Reply { seq: s, reply }) if s == seq => {
-                        if self.trace.is_on() {
-                            self.trace.emit(
-                                Layer::Wire,
-                                Severity::Debug,
-                                "recv",
-                                &[
-                                    ("disp", "reply".into()),
-                                    ("seq", s.into()),
-                                    ("reply", reply.kind_name().into()),
-                                    ("len", raw.len().into()),
-                                ],
-                            );
-                        }
-                        return Ok(reply);
-                    }
-                    Some(Envelope::Reply { seq: s, .. }) => {
-                        // A stale reply to an earlier retransmission of a
-                        // finished transaction; the sequence check drops it.
-                        if self.trace.is_on() {
-                            self.trace.emit(
-                                Layer::Wire,
-                                Severity::Debug,
-                                "recv",
-                                &[
-                                    ("disp", "stale".into()),
-                                    ("seq", s.into()),
-                                    ("len", raw.len().into()),
-                                ],
-                            );
-                        }
-                    }
-                    Some(Envelope::Event { generation, reply }) => {
-                        if self.trace.is_on() {
-                            self.trace.emit(
-                                Layer::Wire,
-                                Severity::Debug,
-                                "recv",
-                                &[
-                                    ("disp", "event".into()),
-                                    ("gen", generation.into()),
-                                    ("len", raw.len().into()),
-                                ],
-                            );
-                        }
-                        self.note_event(generation, reply);
-                    }
-                    Some(Envelope::Req { .. }) | None => {
-                        // Corruption (or a legacy bare frame, which an
-                        // enveloped session does not trust).
-                        corrupt_seen = true;
-                        if self.trace.is_on() {
-                            self.trace.emit(
-                                Layer::Wire,
-                                Severity::Warn,
-                                "recv",
-                                &[("disp", "junk".into()), ("len", raw.len().into())],
-                            );
-                        }
-                    }
+                match self.take_inbound(&raw, Some(seq)) {
+                    Inbound::Reply(reply) => return Ok(reply),
+                    Inbound::Junk => corrupt_seen = true,
+                    Inbound::Handled => {}
                 }
             }
         }
@@ -472,55 +456,11 @@ impl NubClient {
                 return Ok(e);
             }
             if self.cancelled() {
-                return Err(self.cancel_error());
+                return Err(NubError::Cancelled);
             }
             match self.wire.recv_timeout(self.cfg.event_poll)? {
                 Some(raw) => {
-                    self.metrics.bytes_received += raw.len() as u64;
-                    match Envelope::decode(&raw) {
-                        Some(Envelope::Event { generation, reply }) => {
-                            if self.trace.is_on() {
-                                self.trace.emit(
-                                    Layer::Wire,
-                                    Severity::Debug,
-                                    "recv",
-                                    &[
-                                        ("disp", "event".into()),
-                                        ("gen", generation.into()),
-                                        ("len", raw.len().into()),
-                                    ],
-                                );
-                            }
-                            self.note_event(generation, reply);
-                        }
-                        // Anything else here is a stale reply, corruption,
-                        // or an untrusted bare frame: drop it and keep
-                        // waiting.
-                        Some(Envelope::Reply { seq, .. }) => {
-                            if self.trace.is_on() {
-                                self.trace.emit(
-                                    Layer::Wire,
-                                    Severity::Debug,
-                                    "recv",
-                                    &[
-                                        ("disp", "stale".into()),
-                                        ("seq", seq.into()),
-                                        ("len", raw.len().into()),
-                                    ],
-                                );
-                            }
-                        }
-                        Some(Envelope::Req { .. }) | None => {
-                            if self.trace.is_on() {
-                                self.trace.emit(
-                                    Layer::Wire,
-                                    Severity::Warn,
-                                    "recv",
-                                    &[("disp", "junk".into()), ("len", raw.len().into())],
-                                );
-                            }
-                        }
-                    }
+                    self.take_inbound(&raw, None);
                 }
                 None => {
                     // Quiet wire: probe. A stopped nub answers by

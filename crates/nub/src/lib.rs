@@ -8,10 +8,10 @@
 //! fetches and stores. If the debugger crashes, the nub preserves the
 //! target's state and waits for a new connection.
 //!
-//! On top of the bare request/reply frames sits an optional *session
-//! layer* ([`proto::Envelope`]): checksummed, sequence-numbered frames
-//! with at-most-once execution on the nub and bounded retransmission in
-//! the client, so the protocol survives lossy or corrupting transports.
+//! Every request and reply travels in the *session layer*
+//! ([`proto::Envelope`]): checksummed, sequence-numbered frames with
+//! at-most-once execution on the nub and bounded retransmission in the
+//! client, so the protocol survives lossy or corrupting transports.
 //! [`fault::FaultyWire`] injects exactly those faults, deterministically,
 //! for testing.
 

@@ -14,17 +14,18 @@
 //! can hand a [`Wire`] to (the network case), and a faulting program with
 //! no debugger simply waits for one.
 //!
-//! Two request framings are served on the same wire. Legacy peers send
-//! bare [`Request`] frames and get bare replies, exactly as before. Peers
-//! that send [`Envelope`] frames (checksummed, sequence-numbered) switch
-//! the session to enveloped mode: each sequence number is executed at
-//! most once — a retransmitted request gets the cached reply frame, not a
-//! second execution — resume-class requests are acknowledged with
-//! [`Reply::Ack`], stop notifications go out as generation-numbered
-//! events, and while the target is running the nub polls its wire each
-//! slice so a [`Request::Ping`] is answered with [`Reply::Running`]
-//! instead of silence. That at-most-once discipline is what makes blind
-//! retransmission over a lossy wire safe.
+//! The nub speaks one dialect: [`Envelope`] frames (checksummed,
+//! sequence-numbered), all taken in through one intake whether the target
+//! is stopped or running. Each sequence number is executed at most once —
+//! a retransmitted request gets the cached reply frame, not a second
+//! execution — resume-class requests are acknowledged with [`Reply::Ack`],
+//! stop notifications go out as generation-numbered events, and while the
+//! target is running the nub polls its wire each slice so a
+//! [`Request::Ping`] is answered with [`Reply::Running`] instead of
+//! silence. That at-most-once discipline is what makes blind
+//! retransmission over a lossy wire safe. A frame that is not a
+//! well-formed enveloped request is dropped. The one bare frame the nub
+//! still sends is the stop announcement to a peer that has not spoken yet.
 
 use std::io;
 use std::thread::JoinHandle;
@@ -35,7 +36,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use crate::arch::{nub_arch, NubArch};
 use crate::proto::{Envelope, Reply, Request, Sig};
 use crate::transport::Wire;
-use ldb_machine::{ByteOrder, Fault, Image, Machine, RunEvent, Snapshot};
+use ldb_machine::{ByteOrder, Fault, Image, Machine, Memory, RunEvent, Snapshot};
 
 /// How long the run loop listens on the wire between slices of an
 /// open-ended run. The wait is the responsiveness contract: a client can
@@ -117,7 +118,6 @@ pub fn spawn_machine(machine: Machine, context: u32, cfg: NubConfig) -> NubHandl
         wire: None,
         connect_rx: rx,
         plants: Vec::new(),
-        plant_values: Vec::new(),
         cfg,
         last_signal: None,
         reached_pause: false,
@@ -139,18 +139,15 @@ struct Nub {
     hooks: &'static dyn NubArch,
     wire: Option<Box<dyn Wire>>,
     connect_rx: Receiver<Box<dyn Wire>>,
-    plants: Vec<(u32, u8, u64)>,
-    /// Parallel to `plants`: the trap value that was planted, so a
-    /// snapshot restore can re-plant on top of the pristine image.
-    plant_values: Vec<u64>,
+    plants: Vec<Plant>,
     cfg: NubConfig,
     last_signal: Option<(u8, u32)>,
     /// Set once the startup pause has been reached (before that, a
     /// debugger-spawned target holds incoming connections for the pause
     /// handshake instead of announcing an attach).
     reached_pause: bool,
-    /// The connected peer has sent at least one [`Envelope`] frame; reply
-    /// and notify in envelopes from then on. Reset per connection.
+    /// The connected peer has sent at least one [`Envelope`] frame; only
+    /// [`Nub::emit_event`] reads it. Reset per connection.
     enveloped: bool,
     /// Sequence number of the last executed enveloped request, with its
     /// encoded reply frame: a retransmission of `last_seq` resends the
@@ -169,6 +166,16 @@ struct Nub {
     snap_out: Vec<u8>,
     /// Inbound snapshot chunks, assembled by [`Request::LoadSnapshot`].
     snap_in: Vec<u8>,
+}
+
+/// A breakpoint the nub planted: the original instruction, so a new
+/// debugger can recover it, and the trap, so a snapshot restore can
+/// re-plant on top of the pristine image.
+struct Plant {
+    addr: u32,
+    size: u8,
+    orig: u64,
+    trap: u64,
 }
 
 enum State {
@@ -299,8 +306,8 @@ impl Nub {
                                 self.accept(w);
                                 if let Some((sig, code)) = self.last_signal {
                                     // Re-announce the current stop to the
-                                    // fresh peer (bare: its dialect is
-                                    // unknown until it sends something).
+                                    // fresh peer (bare: it has not sent an
+                                    // envelope yet; see `emit_event`).
                                     self.emit_event(&Reply::Signal {
                                         sig,
                                         code,
@@ -321,120 +328,40 @@ impl Nub {
                             continue;
                         }
                     };
-                    if let Some(env) = Envelope::decode(&frame) {
-                        let Envelope::Req { seq, req } = env else { continue };
-                        self.enveloped = true;
-                        if self.last_seq == Some(seq) {
-                            // A retransmission: the reply was lost, not
-                            // the request. Resend, never re-execute.
-                            if let Some(cached) = self.reply_cache.clone() {
-                                self.send_frame(&cached);
-                            }
-                            continue;
-                        }
-                        match req {
-                            Request::Ping => {
-                                self.reply(seq, &Reply::Ack);
-                                // The probe usually means the client lost
-                                // our stop notification: re-send it (same
-                                // generation, so a client that did get it
-                                // drops the duplicate).
-                                if let Some((sig, code)) = self.last_signal {
-                                    self.emit_event(&Reply::Signal {
-                                        sig,
-                                        code,
-                                        context: self.context,
-                                    });
-                                }
-                            }
-                            Request::Continue => {
-                                self.reply(seq, &Reply::Ack);
-                                self.hooks.restore_context(&mut self.machine, self.context);
-                                self.run_budget = None;
-                                state = State::Run;
-                            }
-                            Request::StepN { n } => {
-                                // The budgeted resume: run at most n
-                                // instructions through the sliced run loop
-                                // (so pings are still answered), stopping
-                                // early at traps/faults like Continue.
-                                self.reply(seq, &Reply::Ack);
-                                self.hooks.restore_context(&mut self.machine, self.context);
-                                self.run_budget = Some(n);
-                                state = State::Run;
-                            }
-                            Request::Step => {
-                                self.reply(seq, &Reply::Ack);
-                                self.hooks.restore_context(&mut self.machine, self.context);
-                                match self.machine.run(1) {
-                                    RunEvent::StepLimit | RunEvent::Paused { .. } => {
-                                        self.stop_with(Sig::Step.number(), 0);
-                                    }
-                                    RunEvent::Breakpoint { pc, .. } => {
-                                        self.stop_with(Sig::Trap.number(), pc);
-                                    }
-                                    RunEvent::Fault(f) => {
-                                        let (sig, code) = classify_fault(f);
-                                        self.stop_with(sig.number(), code);
-                                    }
-                                    RunEvent::Exited(status) => {
-                                        self.announce_exit(status);
-                                        return self.machine;
-                                    }
-                                }
-                            }
-                            Request::Kill => {
-                                self.reply(seq, &Reply::Ack);
-                                self.announce_exit(-9);
-                                return self.machine;
-                            }
-                            Request::Detach => {
-                                self.reply(seq, &Reply::Ack);
-                                self.wire = None;
-                                // Stay stopped, preserving state.
-                            }
-                            Request::DetachRun => {
-                                self.reply(seq, &Reply::Ack);
-                                self.wire = None;
-                                self.last_signal = None;
-                                self.hooks.restore_context(&mut self.machine, self.context);
-                                self.run_budget = None;
-                                state = State::Run;
-                            }
-                            req => {
-                                let r = self.service(&req);
-                                self.reply(seq, &r);
+                    let Some((seq, req)) = self.intake(&frame) else { continue };
+                    match req {
+                        Request::Ping => {
+                            self.reply(seq, &Reply::Ack);
+                            // The probe usually means the client lost
+                            // our stop notification: re-send it (same
+                            // generation, so a client that did get it
+                            // drops the duplicate).
+                            if let Some((sig, code)) = self.last_signal {
+                                self.emit_event(&Reply::Signal {
+                                    sig,
+                                    code,
+                                    context: self.context,
+                                });
                             }
                         }
-                        continue;
-                    }
-                    if self.enveloped {
-                        // A corrupted envelope can pass for a well-formed
-                        // bare request — never honour bare frames once the
-                        // peer speaks envelopes, or line noise could
-                        // execute as a detach, kill, or store. Drop it;
-                        // the client retransmits.
-                        continue;
-                    }
-                    match Request::decode(&frame) {
-                        None => {
-                            // Undecodable: a legacy peer deserves the
-                            // legacy error.
-                            self.send(&Reply::Error { code: 5 });
-                        }
-                        Some(Request::Continue) => {
+                        Request::Continue => {
+                            self.reply(seq, &Reply::Ack);
                             self.hooks.restore_context(&mut self.machine, self.context);
                             self.run_budget = None;
                             state = State::Run;
                         }
-                        Some(Request::StepN { n }) => {
+                        Request::StepN { n } => {
+                            // The budgeted resume: run at most n
+                            // instructions through the sliced run loop
+                            // (so pings are still answered), stopping
+                            // early at traps/faults like Continue.
+                            self.reply(seq, &Reply::Ack);
                             self.hooks.restore_context(&mut self.machine, self.context);
                             self.run_budget = Some(n);
                             state = State::Run;
                         }
-                        Some(Request::Step) => {
-                            // The optional single-step extension: run one
-                            // instruction and stop again.
+                        Request::Step => {
+                            self.reply(seq, &Reply::Ack);
                             self.hooks.restore_context(&mut self.machine, self.context);
                             match self.machine.run(1) {
                                 RunEvent::StepLimit | RunEvent::Paused { .. } => {
@@ -448,29 +375,32 @@ impl Nub {
                                     self.stop_with(sig.number(), code);
                                 }
                                 RunEvent::Exited(status) => {
-                                    self.send(&Reply::Exited { status });
+                                    self.announce_exit(status);
                                     return self.machine;
                                 }
                             }
                         }
-                        Some(Request::Kill) => {
-                            self.send(&Reply::Exited { status: -9 });
+                        Request::Kill => {
+                            self.reply(seq, &Reply::Ack);
+                            self.announce_exit(-9);
                             return self.machine;
                         }
-                        Some(Request::Detach) => {
+                        Request::Detach => {
+                            self.reply(seq, &Reply::Ack);
                             self.wire = None;
                             // Stay stopped, preserving state.
                         }
-                        Some(Request::DetachRun) => {
+                        Request::DetachRun => {
+                            self.reply(seq, &Reply::Ack);
                             self.wire = None;
                             self.last_signal = None;
                             self.hooks.restore_context(&mut self.machine, self.context);
                             self.run_budget = None;
                             state = State::Run;
                         }
-                        Some(req) => {
-                            let reply = self.service(&req);
-                            self.send(&reply);
+                        req => {
+                            let r = self.service(&req).unwrap_or_else(|code| Reply::Error { code });
+                            self.reply(seq, &r);
                         }
                     }
                 }
@@ -499,52 +429,44 @@ impl Nub {
                     return None;
                 }
             };
-            if let Some(env) = Envelope::decode(&frame) {
-                let Envelope::Req { seq, req } = env else { continue };
-                self.enveloped = true;
-                if self.last_seq == Some(seq) {
-                    if let Some(cached) = self.reply_cache.clone() {
-                        self.send_frame(&cached);
-                    }
-                    continue;
+            let Some((seq, req)) = self.intake(&frame) else { continue };
+            match req {
+                Request::Ping => self.reply(seq, &Reply::Running),
+                Request::Kill => {
+                    self.reply(seq, &Reply::Ack);
+                    return Some(-9);
                 }
-                match req {
-                    Request::Ping => self.reply(seq, &Reply::Running),
-                    Request::Kill => {
-                        self.reply(seq, &Reply::Ack);
-                        return Some(-9);
-                    }
-                    Request::Detach => {
-                        self.reply(seq, &Reply::Ack);
-                        self.wire = None;
-                    }
-                    Request::DetachRun => {
-                        self.reply(seq, &Reply::Ack);
-                        self.last_signal = None;
-                        self.wire = None;
-                    }
-                    // Everything else needs a stopped target.
-                    _ => self.reply(seq, &Reply::Error { code: 4 }),
+                Request::Detach => {
+                    self.reply(seq, &Reply::Ack);
+                    self.wire = None;
                 }
-            } else if self.enveloped {
-                // A corrupted frame on an enveloped session can look like
-                // a well-formed bare request — never honour it, or line
-                // noise could detach or kill the target. Drop it; the
-                // client retransmits.
-            } else if let Some(req) = Request::decode(&frame) {
-                match req {
-                    Request::Kill => return Some(-9),
-                    Request::Detach => self.wire = None,
-                    Request::DetachRun => {
-                        self.last_signal = None;
-                        self.wire = None;
-                    }
-                    _ => self.send(&Reply::Error { code: 4 }),
+                Request::DetachRun => {
+                    self.reply(seq, &Reply::Ack);
+                    self.last_signal = None;
+                    self.wire = None;
                 }
+                // Everything else needs a stopped target.
+                _ => self.reply(seq, &Reply::Error { code: 4 }),
             }
-            // Undecodable frames mid-run are dropped: enveloped clients
-            // retransmit, legacy clients never send mid-run.
         }
+    }
+
+    /// The one request intake, stopped or running: decode `frame` as an
+    /// enveloped request and hand back what to execute. Anything else —
+    /// corruption, a stray reply, a bare frame — is dropped and the client
+    /// retransmits, so line noise can never execute as a detach, kill, or
+    /// store. A retransmission of the last executed sequence number means
+    /// the reply was lost, not the request: resend it, never re-execute.
+    fn intake(&mut self, frame: &[u8]) -> Option<(u32, Request)> {
+        let Some(Envelope::Req { seq, req }) = Envelope::decode(frame) else { return None };
+        self.enveloped = true;
+        if self.last_seq == Some(seq) {
+            if let Some(cached) = self.reply_cache.clone() {
+                self.send_frame(&cached);
+            }
+            return None;
+        }
+        Some((seq, req))
     }
 
     fn stop_with(&mut self, sig: u8, code: u32) {
@@ -564,8 +486,12 @@ impl Nub {
         self.emit_event(reply);
     }
 
-    /// (Re-)send a notification under the current generation, enveloped
-    /// if the peer speaks envelopes, bare otherwise.
+    /// (Re-)send a notification under the current generation. Until the
+    /// peer's first envelope it goes out bare: that is the connect
+    /// announcement, which the client reads as one junk frame before its
+    /// quiet poll and ping. Enveloping it would drop three frames from
+    /// every connect, which the replay goldens and the benchmark smoke
+    /// test (`wire.quiet_polls.connect >= 5`) pin — see ROADMAP item 2.
     fn emit_event(&mut self, reply: &Reply) {
         let frame = if self.enveloped {
             Envelope::Event { generation: self.event_gen, reply: reply.clone() }.encode()
@@ -583,12 +509,6 @@ impl Nub {
         self.send_frame(&frame);
     }
 
-    /// Send a bare (legacy) reply.
-    fn send(&mut self, reply: &Reply) {
-        let frame = reply.encode();
-        self.send_frame(&frame);
-    }
-
     fn send_frame(&mut self, frame: &[u8]) {
         if let Some(w) = self.wire.as_mut() {
             if w.send(frame).is_err() {
@@ -597,109 +517,64 @@ impl Nub {
         }
     }
 
-    fn service(&mut self, req: &Request) -> Reply {
+    /// Execute a request that needs a stopped target; errors are the
+    /// nub's codes (1 bad address, 2 bad space, 3 bad size or length,
+    /// 4 not stopped, 5 corrupt snapshot).
+    fn service(&mut self, req: &Request) -> Result<Reply, u8> {
         match *req {
             Request::Fetch { space, addr, size } => {
-                if space != b'c' && space != b'd' {
-                    return Reply::Error { code: 2 };
-                }
+                check_space(space)?;
                 let m = &self.machine;
-                let v = match size {
-                    1 => m.cpu.mem.read_u8(addr).map(|v| v as u64),
-                    2 => m.cpu.mem.read_u16(addr).map(|v| v as u64),
-                    4 => m.cpu.mem.read_u32(addr).map(|v| v as u64),
-                    8 => m.cpu.mem.read_f64(addr).map(|v| {
-                        self.hooks.fetch_fixup8(m, self.context, addr, v.to_bits())
-                    }),
-                    _ => return Reply::Error { code: 3 },
-                };
-                match v {
-                    Ok(value) => Reply::Fetched { value },
-                    Err(_) => Reply::Error { code: 1 },
+                let mut value = read_sized(&m.cpu.mem, addr, size)?;
+                if size == 8 {
+                    value = self.hooks.fetch_fixup8(m, self.context, addr, value);
                 }
+                Ok(Reply::Fetched { value })
             }
             Request::Store { space, addr, size, value } => {
-                if space != b'c' && space != b'd' {
-                    return Reply::Error { code: 2 };
-                }
+                check_space(space)?;
                 // A store that undoes a recorded plant removes the record.
                 if let Some(i) = self
                     .plants
                     .iter()
-                    .position(|&(a, s, orig)| a == addr && s == size && orig == value)
+                    .position(|p| p.addr == addr && p.size == size && p.orig == value)
                 {
                     self.plants.remove(i);
-                    self.plant_values.remove(i);
                 }
                 let fixed = if size == 8 {
                     self.hooks.store_fixup8(&self.machine, self.context, addr, value)
                 } else {
                     value
                 };
-                let m = &mut self.machine;
-                let r = match size {
-                    1 => m.cpu.mem.write_u8(addr, fixed as u8),
-                    2 => m.cpu.mem.write_u16(addr, fixed as u16),
-                    4 => m.cpu.mem.write_u32(addr, fixed as u32),
-                    8 => m.cpu.mem.write_f64(addr, f64::from_bits(fixed)),
-                    _ => return Reply::Error { code: 3 },
-                };
-                match r {
-                    Ok(()) => Reply::Stored,
-                    Err(_) => Reply::Error { code: 1 },
-                }
+                write_sized(&mut self.machine.cpu.mem, addr, size, fixed)?;
+                Ok(Reply::Stored)
             }
             Request::Plant { addr, size, value } => {
-                let m = &mut self.machine;
-                let orig = match size {
-                    1 => m.cpu.mem.read_u8(addr).map(|v| v as u64),
-                    2 => m.cpu.mem.read_u16(addr).map(|v| v as u64),
-                    4 => m.cpu.mem.read_u32(addr).map(|v| v as u64),
-                    _ => return Reply::Error { code: 3 },
-                };
-                let Ok(orig) = orig else { return Reply::Error { code: 1 } };
-                let r = match size {
-                    1 => m.cpu.mem.write_u8(addr, value as u8),
-                    2 => m.cpu.mem.write_u16(addr, value as u16),
-                    _ => m.cpu.mem.write_u32(addr, value as u32),
-                };
-                if r.is_err() {
-                    return Reply::Error { code: 1 };
+                if size == 8 {
+                    return Err(3);
                 }
-                if !self.plants.iter().any(|&(a, _, _)| a == addr) {
-                    self.plants.push((addr, size, orig));
-                    self.plant_values.push(value);
+                let mem = &mut self.machine.cpu.mem;
+                let orig = read_sized(mem, addr, size)?;
+                write_sized(mem, addr, size, value)?;
+                if !self.plants.iter().any(|p| p.addr == addr) {
+                    self.plants.push(Plant { addr, size, orig, trap: value });
                 }
-                Reply::Stored
+                Ok(Reply::Stored)
             }
             Request::FetchBlock { space, addr, len } => {
-                if space != b'c' && space != b'd' {
-                    return Reply::Error { code: 2 };
-                }
+                check_space(space)?;
                 if len == 0 || len > crate::proto::MAX_BLOCK {
-                    return Reply::Error { code: 3 };
+                    return Err(3);
                 }
-                let m = &self.machine;
-                let mut bytes = Vec::with_capacity(len as usize);
-                for i in 0..len {
-                    let Some(a) = addr.checked_add(i) else {
-                        return Reply::Error { code: 1 };
-                    };
-                    match m.cpu.mem.read_u8(a) {
-                        Ok(b) => bytes.push(b),
-                        // All-or-nothing: a block fetch never returns a
-                        // short read, so a client can cache the whole line
-                        // or fall back to word fetches at the edge.
-                        Err(_) => return Reply::Error { code: 1 },
-                    }
-                }
-                let order = match m.cpu.mem.order() {
-                    ByteOrder::Little => 0,
-                    ByteOrder::Big => 1,
-                };
-                Reply::Block { order, bytes }
+                // All-or-nothing: a block fetch never returns a short read,
+                // so a client can cache the whole line or fall back to word
+                // fetches at the edge.
+                let bytes = self.machine.cpu.mem.read_bytes(addr, len).map_err(|_| 1)?.to_vec();
+                Ok(Reply::Block { order: self.wire_order(), bytes })
             }
-            Request::QueryPlants => Reply::Plants(self.plants.clone()),
+            Request::QueryPlants => {
+                Ok(Reply::Plants(self.plants.iter().map(|p| (p.addr, p.size, p.orig)).collect()))
+            }
             Request::TakeSnapshot => {
                 // Sync the CPU from the context block so register stores the
                 // debugger made while stopped are part of the image.
@@ -707,56 +582,32 @@ impl Nub {
                 // Capture a *pristine* image: lift every planted trap, so a
                 // restored snapshot carries original text and the client can
                 // re-plant (or not) without byte-diff noise at plant sites.
-                let plants = self.plants.clone();
-                let mut traps = Vec::with_capacity(plants.len());
-                for &(addr, size, orig) in &plants {
-                    let m = &mut self.machine;
-                    let cur = match size {
-                        1 => m.cpu.mem.read_u8(addr).map(|v| v as u64),
-                        2 => m.cpu.mem.read_u16(addr).map(|v| v as u64),
-                        _ => m.cpu.mem.read_u32(addr).map(|v| v as u64),
-                    };
-                    let Ok(cur) = cur else { return Reply::Error { code: 1 } };
-                    let r = match size {
-                        1 => m.cpu.mem.write_u8(addr, orig as u8),
-                        2 => m.cpu.mem.write_u16(addr, orig as u16),
-                        _ => m.cpu.mem.write_u32(addr, orig as u32),
-                    };
-                    if r.is_err() {
-                        return Reply::Error { code: 1 };
-                    }
-                    traps.push(cur);
+                let mem = &mut self.machine.cpu.mem;
+                let mut traps = Vec::with_capacity(self.plants.len());
+                for p in &self.plants {
+                    traps.push(read_sized(mem, p.addr, p.size)?);
+                    write_sized(mem, p.addr, p.size, p.orig)?;
                 }
                 let snap = Snapshot::capture(&self.machine);
                 // Re-arm the traps we lifted.
-                for (&(addr, size, _), &trap) in plants.iter().zip(&traps) {
-                    let m = &mut self.machine;
-                    let _ = match size {
-                        1 => m.cpu.mem.write_u8(addr, trap as u8),
-                        2 => m.cpu.mem.write_u16(addr, trap as u16),
-                        _ => m.cpu.mem.write_u32(addr, trap as u32),
-                    };
+                for (p, trap) in self.plants.iter_mut().zip(traps) {
+                    p.trap = trap;
+                    let _ = write_sized(&mut self.machine.cpu.mem, p.addr, p.size, trap);
                 }
-                self.plant_values = traps;
                 self.snap_out = snap.to_bytes();
-                Reply::Fetched { value: self.snap_out.len() as u64 }
+                Ok(Reply::Fetched { value: self.snap_out.len() as u64 })
             }
             Request::ReadSnapshot { off, len } => {
                 if len == 0 || len > crate::proto::MAX_BLOCK {
-                    return Reply::Error { code: 3 };
+                    return Err(3);
                 }
                 let (off, len) = (off as usize, len as usize);
-                let Some(end) = off.checked_add(len) else {
-                    return Reply::Error { code: 1 };
-                };
+                let end = off.checked_add(len).ok_or(1)?;
                 if end > self.snap_out.len() {
-                    return Reply::Error { code: 1 };
+                    return Err(1);
                 }
-                let order = match self.machine.cpu.mem.order() {
-                    ByteOrder::Little => 0,
-                    ByteOrder::Big => 1,
-                };
-                Reply::Block { order, bytes: self.snap_out[off..end].to_vec() }
+                let bytes = self.snap_out[off..end].to_vec();
+                Ok(Reply::Block { order: self.wire_order(), bytes })
             }
             Request::LoadSnapshot { off, ref bytes } => {
                 // Chunks arrive strictly in order; off 0 starts a fresh image.
@@ -764,49 +615,31 @@ impl Nub {
                     self.snap_in.clear();
                 }
                 if off as usize != self.snap_in.len() {
-                    return Reply::Error { code: 3 };
+                    return Err(3);
                 }
                 if self.snap_in.len() + bytes.len() > MAX_SNAPSHOT {
                     self.snap_in.clear();
-                    return Reply::Error { code: 3 };
+                    return Err(3);
                 }
                 self.snap_in.extend_from_slice(bytes);
-                Reply::Stored
+                Ok(Reply::Stored)
             }
             Request::CommitSnapshot { len } => {
-                if len as usize != self.snap_in.len() {
-                    self.snap_in.clear();
-                    return Reply::Error { code: 3 };
+                let staged = std::mem::take(&mut self.snap_in);
+                if len as usize != staged.len() {
+                    return Err(3);
                 }
-                let snap = match Snapshot::from_bytes(&self.snap_in) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.snap_in.clear();
-                        return Reply::Error { code: 5 };
-                    }
-                };
-                self.snap_in.clear();
-                if snap.restore(&mut self.machine).is_err() {
-                    return Reply::Error { code: 5 };
-                }
+                let snap = Snapshot::from_bytes(&staged).map_err(|_| 5)?;
+                snap.restore(&mut self.machine).map_err(|_| 5)?;
                 // The image is pristine; re-arm every live plant so forward
                 // replay takes exactly the traps the original run took.
-                let plants = self.plants.clone();
-                for (&(addr, size, _), &trap) in plants.iter().zip(&self.plant_values) {
-                    let m = &mut self.machine;
-                    let r = match size {
-                        1 => m.cpu.mem.write_u8(addr, trap as u8),
-                        2 => m.cpu.mem.write_u16(addr, trap as u16),
-                        _ => m.cpu.mem.write_u32(addr, trap as u32),
-                    };
-                    if r.is_err() {
-                        return Reply::Error { code: 1 };
-                    }
+                for p in &self.plants {
+                    write_sized(&mut self.machine.cpu.mem, p.addr, p.size, p.trap)?;
                 }
                 self.hooks.write_context(&mut self.machine, self.context);
-                Reply::Stored
+                Ok(Reply::Stored)
             }
-            Request::QuerySteps => Reply::Fetched { value: self.machine.cpu.steps },
+            Request::QuerySteps => Ok(Reply::Fetched { value: self.machine.cpu.steps }),
             // State-machine requests reaching here means the peer sent
             // them at the wrong time; say "not stopped" rather than panic.
             Request::Ping
@@ -815,9 +648,50 @@ impl Nub {
             | Request::Detach
             | Request::Step
             | Request::StepN { .. }
-            | Request::DetachRun => Reply::Error { code: 4 },
+            | Request::DetachRun => Err(4),
         }
     }
+
+    /// The target's byte order as a block reply reports it.
+    fn wire_order(&self) -> u8 {
+        match self.machine.cpu.mem.order() {
+            ByteOrder::Little => 0,
+            ByteOrder::Big => 1,
+        }
+    }
+}
+
+/// The nub serves only the code and data spaces.
+fn check_space(space: u8) -> Result<(), u8> {
+    if space == b'c' || space == b'd' {
+        Ok(())
+    } else {
+        Err(2)
+    }
+}
+
+/// Read a 1-, 2-, 4- or 8-byte value in the target byte order.
+fn read_sized(mem: &Memory, addr: u32, size: u8) -> Result<u64, u8> {
+    let v = match size {
+        1 => mem.read_u8(addr).map(u64::from),
+        2 => mem.read_u16(addr).map(u64::from),
+        4 => mem.read_u32(addr).map(u64::from),
+        8 => mem.read_f64(addr).map(f64::to_bits),
+        _ => return Err(3),
+    };
+    v.map_err(|_| 1)
+}
+
+/// Write a 1-, 2-, 4- or 8-byte value in the target byte order.
+fn write_sized(mem: &mut Memory, addr: u32, size: u8, v: u64) -> Result<(), u8> {
+    let r = match size {
+        1 => mem.write_u8(addr, v as u8),
+        2 => mem.write_u16(addr, v as u16),
+        4 => mem.write_u32(addr, v as u32),
+        8 => mem.write_f64(addr, f64::from_bits(v)),
+        _ => return Err(3),
+    };
+    r.map_err(|_| 1)
 }
 
 fn classify_fault(f: Fault) -> (Sig, u32) {

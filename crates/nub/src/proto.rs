@@ -515,12 +515,14 @@ fn fnv32(bytes: &[u8]) -> u32 {
 
 /// The resilient session layer over bare protocol bodies.
 ///
-/// A bare frame (`[tag][payload]`, tag 1–10 or 0x81–0x88) is the paper's
-/// original protocol and remains valid. An *enveloped* frame wraps a bare
-/// body as `[env-tag][n: u32 LE][body][fnv1a: u32 LE]` where `n` is a
-/// request sequence number (requests and their replies) or an event
-/// generation number (notifications). The envelope is what makes the
-/// session safe on a faulty wire:
+/// A bare body (`[tag][payload]`, tag 1–10 or 0x81–0x88) is the paper's
+/// original request or reply. On the wire it travels *enveloped*, as
+/// `[env-tag][n: u32 LE][body][fnv1a: u32 LE]` where `n` is a request
+/// sequence number (requests and their replies) or an event generation
+/// number (notifications). The nub executes only enveloped requests; the
+/// one bare frame it sends is the stop announcement to a freshly
+/// connected peer. The envelope is what makes the session safe on a
+/// faulty wire:
 ///
 /// * the checksum turns corruption into a detectable decode failure,
 /// * the sequence number pairs replies with requests, so duplicates and
@@ -528,8 +530,8 @@ fn fnv32(bytes: &[u8]) -> u32 {
 ///   stream, and
 /// * the generation number deduplicates re-sent stop notifications.
 ///
-/// Envelope tags 0x10–0x12 never collide with bare tags, so both framings
-/// coexist on one wire and a nub can serve old and new clients alike.
+/// Envelope tags 0x10–0x12 never collide with bare tags, so a bare frame
+/// (or one corrupted to look like one) never decodes as an envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Envelope {
     /// A sequenced request.

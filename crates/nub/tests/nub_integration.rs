@@ -262,3 +262,56 @@ fn mips_bigendian_fp_context_quirk() {
     client.kill().unwrap();
     h.join.join().unwrap();
 }
+
+#[test]
+fn noise_before_the_first_envelope_is_never_executed() {
+    use ldb_nub::{Envelope, Reply, Request, Wire};
+    use std::time::Duration;
+
+    fn next(w: &mut impl Wire) -> Vec<u8> {
+        w.recv_timeout(Duration::from_secs(5)).unwrap().expect("the nub answers")
+    }
+    /// Read frames until the reply to `seq`, skipping re-sent stop events.
+    fn reply_to(w: &mut impl Wire, seq: u32) -> Reply {
+        loop {
+            if let Some(Envelope::Reply { seq: s, reply }) = Envelope::decode(&next(w)) {
+                if s == seq {
+                    return reply;
+                }
+            }
+        }
+    }
+    /// Open a connection, take its bare stop announcement, then send a
+    /// seq-1 `Ping` envelope whose first byte reads as bare tag `tag`,
+    /// followed by an intact seq-2 `Ping`: only the intact one may act.
+    fn probe(h: &ldb_nub::NubHandle, tag: u8) -> impl Wire {
+        let mut w = h.connect_channel().unwrap();
+        let announce = next(&mut w);
+        assert!(matches!(Reply::decode(&announce), Some(Reply::Signal { .. })), "{announce:?}");
+        let mut noisy = Envelope::Req { seq: 1, req: Request::Ping }.encode();
+        noisy[0] = tag;
+        assert!(Request::decode(&noisy).is_some(), "tag {tag}: the noise reads as a bare request");
+        w.send(&noisy).unwrap();
+        w.send(&Envelope::Req { seq: 2, req: Request::Ping }.encode()).expect("nub still listening");
+        let first = Envelope::decode(&next(&mut w));
+        assert_eq!(first, Some(Envelope::Reply { seq: 2, reply: Reply::Ack }), "tag {tag}");
+        assert!(!h.join.is_finished(), "tag {tag}: the target died");
+        w
+    }
+
+    let c = compiled(Arch::Mips);
+    // Fetch, QueryPlants, Continue, Kill, Detach, Step, DetachRun.
+    for tag in [1, 4, 5, 6, 7, 8, 9] {
+        let h = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
+        let mut w = probe(&h, tag);
+        // The window reopens on every connection: probe again after an
+        // enveloped detach.
+        w.send(&Envelope::Req { seq: 3, req: Request::Detach }.encode()).unwrap();
+        assert_eq!(reply_to(&mut w, 3), Reply::Ack);
+        let mut w = probe(&h, tag);
+        w.send(&Envelope::Req { seq: 3, req: Request::Kill }.encode()).unwrap();
+        assert_eq!(reply_to(&mut w, 3), Reply::Ack);
+        let m = h.join.join().unwrap();
+        assert_eq!(m.output, "", "tag {tag}: the target never ran");
+    }
+}

@@ -10,7 +10,10 @@
 #                      ldb-trace's seeded.rs: one generator and one hash
 #                      behind every seeded schedule, cache key and bucket
 #                      id (proto.rs's 32-bit frame checksum is wire format
-#                      and uses neither constant)
+#                      and uses neither constant); and `Request::decode(`
+#                      appears only in crates/nub/src/proto.rs, where
+#                      `Envelope::decode` opens the body: the nub serves
+#                      envelopes only, so no bare request is ever executed
 #   build (release)  — the tier-1 build
 #   examples         — every examples/*.rs runs to a zero exit (clippy
 #                      only compiles them; this catches run-time breaks)
@@ -80,6 +83,14 @@ seeded=$(grep -rniE '0x9e37_?79b9_?7f4a_?7c15|0xcbf2_?9ce4_?8422_?2325' crates/*
 if [ -n "$seeded" ]; then
     echo "structure gate: splitmix64 / FNV-1a copies outside crates/trace/src/seeded.rs:" >&2
     echo "$seeded" >&2
+    exit 1
+fi
+
+bare=$(grep -rn 'Request::decode(' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/nub/src/proto\.rs:' || true)
+if [ -n "$bare" ]; then
+    echo "structure gate: bare request decoding outside crates/nub/src/proto.rs:" >&2
+    echo "$bare" >&2
     exit 1
 fi
 

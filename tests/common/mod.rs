@@ -14,8 +14,9 @@ use ldb_suite::nub::{spawn, ClientConfig, NubConfig};
 /// microseconds, so a long reply timeout means retransmission never
 /// fires, and an event poll far above any simulated run time means the
 /// keepalive ping fires exactly once per session — at attach, where the
-/// nub's initial bare (legacy) announcement forces one poll timeout
-/// before the ping upgrades the peer to envelopes. Every later stop
+/// nub's bare connect announcement is dropped as junk and forces one poll
+/// timeout; the ping is the peer's first envelope, so the nub answers it
+/// and re-sends the stop as an enveloped event. Every later stop
 /// arrives in well under the poll, so the journal carries only traffic
 /// the session itself caused, every run, on every machine.
 pub fn quiet_client() -> ClientConfig {

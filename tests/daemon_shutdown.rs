@@ -62,7 +62,7 @@ fn assert_threads_converge(baseline: usize) {
 
 #[test]
 fn shutdown_mid_command_detaches_quarantines_and_journals_every_tenant() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = thread_count();
 
     let registry = Arc::new(SessionRegistry::new(8));
@@ -133,7 +133,7 @@ fn shutdown_mid_command_detaches_quarantines_and_journals_every_tenant() {
 
 #[test]
 fn idle_sessions_are_evicted_with_typed_reason() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let registry = SessionRegistry::new(4);
     let (builder, buf, trace) = journaled_builder(Arch::Mips, daemon::PROG_COUNT);
     let id = registry.open(SessionConfig::default(), builder).unwrap();
@@ -162,7 +162,7 @@ fn idle_sessions_are_evicted_with_typed_reason() {
 /// held by an in-flight command rather than wait for it.
 #[test]
 fn eviction_skips_busy_tenants() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Arc::new(SessionRegistry::new(4));
     let (builder, _buf, _trace) = journaled_builder(Arch::M68k, daemon::PROG_SPIN);
     let id = registry.open(SessionConfig::default(), builder).unwrap();
@@ -184,7 +184,7 @@ fn eviction_skips_busy_tenants() {
 /// daemon, attach two clients, debug, read health, shut down.
 #[test]
 fn tcp_daemon_serves_two_clients_and_shuts_down_cleanly() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let daemon = Arc::new(Daemon::new(DaemonConfig {
